@@ -8,8 +8,8 @@ from .splines import (BasisFamily, SplineSpec, basis_deriv, basis_eval,
                       bspline_spec, make_knots, rbf_bandwidth, rbf_centers,
                       rbf_spec)
 from .layers import (Activation, Conv1D, Conv2D, Flatten, GlobalAvgPool1D,
-                     KanConv1D, KanConv2D, KanEdgeParams, KanLinear, Linear,
-                     MaxPool1D, MaxPool2D, Reshape, kan_edge_eval)
+                     KanConv1D, KanConv2D, KanLinear, Linear, MaxPool1D,
+                     MaxPool2D, Reshape)
 from .models import (ModelGraph, build_alexnet, build_from_config,
                      build_lenet, build_lenet_kan, build_lenet_kan_full,
                      build_tabular_cnn, load_model_config, model_config,

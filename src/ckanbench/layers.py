@@ -11,28 +11,27 @@ layer with a learnable scalar function
     phi(x) = w_b * act(x) + w_s * sum_m c_m * basis_m(x) + t
 
 so each edge carries B + 3 parameters (B spline coefficients, the base
-weight w_b, the spline gain w_s, and the shift t).  The convolution is
-evaluated as im2col followed by one matrix multiply per term; the basis
-expansion is chunked over the batch to bound peak memory.
+weight w_b, the spline gain w_s, and the shift t).  By that identity a
+KAN convolution is a classical one over the C*(B+1)-channel map
+[act(x), basis_1(x), ..., basis_B(x)] with the folded weights
+[w_b, w_s * c] and the shifts summed into the bias.  The input is
+zero-padded and then expanded once per pixel; im2col and one GEMM do the
+rest.  Training caches the expanded map and its per-pixel derivative,
+and backward rebuilds the columns from them.  ``KanLinear`` is the 1x1
+case of the same path.
 
-Channel masks: KAN conv layers carry a boolean ``channel_mask`` over
+Channel masks: KAN layers carry a boolean ``channel_mask`` over
 output channels.  Masked channels output exactly 0, receive zero
 gradients, and are excluded from parameter and MAC counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor_ops as T
 from .errors import ConfigError, DimensionError, StateError
 from .splines import SplineSpec, basis_block, basis_and_deriv_block
-
-# Upper bound on elements of one chunked [T, B, n, P] basis table
-# (16M float32 elements = 64 MiB); keeps peak memory flat on big batches.
-KAN_CHUNK_ELEMS = 16_777_216
 
 _ACTS = {
     "relu": (T.relu, T.relu_grad),
@@ -172,13 +171,18 @@ class MaxPool2D(Layer):
         n, c, h, w = x.shape
         ho, wo = self._out_hw(h, w)
         s = self.stride
-        sn, sc, sh, sw = x.strides
-        win = np.lib.stride_tricks.as_strided(
-            x, (n, c, ho, wo, self.wh, self.ww),
-            (sn, sc, s * sh, s * sw, sh, sw), writeable=False,
-        ).reshape(n, c, ho, wo, self.wh * self.ww)
+        if s == self.wh == self.ww and h % s == 0 and w % s == 0:
+            # the windows tile the input, so a reshape gathers them
+            win = x.reshape(n, c, ho, s, wo, s).transpose(0, 1, 2, 4, 3, 5)
+        else:
+            sn, sc, sh, sw = x.strides
+            win = np.lib.stride_tricks.as_strided(
+                x, (n, c, ho, wo, self.wh, self.ww),
+                (sn, sc, s * sh, s * sw, sh, sw), writeable=False,
+            )
+        win = win.reshape(n, c, ho, wo, self.wh * self.ww)
         idx = win.argmax(axis=-1)
-        out = win.max(axis=-1)
+        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
         if training:
             self._cache = (x.shape, idx)
         return out
@@ -246,6 +250,28 @@ class Linear(Layer):
         return (self.out_features,)
 
 
+def _conv_gemm(x, w2, bias, kh, kw, stride, pad):
+    """Classical convolution as im2col plus one GEMM.
+
+    [N, C, H, W] with weight [O, C*kh*kw] -> ([N, O, Ho, Wo] output,
+    [C*kh*kw, N, Ho*Wo] columns).
+    """
+    n, _, h, w = x.shape
+    ho, wo = T.conv_output_hw(h, w, kh, kw, stride, pad)
+    cols = T.im2col_batch(x, kh, kw, stride, pad)
+    out = w2 @ cols.reshape(cols.shape[0], -1)
+    out += bias[:, None]
+    out = out.reshape(-1, n, ho * wo).transpose(1, 0, 2)
+    return np.ascontiguousarray(out).reshape(n, -1, ho, wo), cols
+
+
+def _gemm_rows(dout):
+    """[N, O, Ho, Wo] -> [O, N*Ho*Wo], the layout of a conv GEMM's output."""
+    n, o = dout.shape[:2]
+    g = dout.reshape(n, o, -1).transpose(1, 0, 2)
+    return np.ascontiguousarray(g).reshape(o, -1)
+
+
 class Conv2D(Layer):
     def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
                  stride: int = 1, pad: int = 0, rng=None,
@@ -266,25 +292,18 @@ class Conv2D(Layer):
         self._cache = None
 
     def forward(self, x, training=True):
-        n, c, h, w = x.shape
+        _, c, _, _ = x.shape
         if c != self.in_ch:
             raise DimensionError(f"{self.name or 'conv'}: expected {self.in_ch} channels, got {c}")
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        cols = T.im2col_batch(x, self.kh, self.kw, self.stride, self.pad)
-        w2 = self.weight.reshape(self.out_ch, -1)
-        out_f = w2 @ cols.reshape(cols.shape[0], -1)
-        out_f += self.bias[:, None]
-        out = out_f.reshape(self.out_ch, n, ho * wo).transpose(1, 0, 2)
+        out, cols = _conv_gemm(x, self.weight.reshape(self.out_ch, -1), self.bias,
+                               self.kh, self.kw, self.stride, self.pad)
         if training:
             self._cache = (x.shape, cols)
-        return np.ascontiguousarray(out).reshape(n, self.out_ch, ho, wo)
+        return out
 
     def backward(self, dout):
         x_shape, cols = self._need_cache(self._cache)
-        n = x_shape[0]
-        p = dout.shape[2] * dout.shape[3]
-        g = np.ascontiguousarray(dout.reshape(n, self.out_ch, p).transpose(1, 0, 2))
-        g2 = g.reshape(self.out_ch, -1)
+        g2 = _gemm_rows(dout)
         self.gweight += (g2 @ cols.reshape(cols.shape[0], -1).T).reshape(self.weight.shape)
         self.gbias += g2.sum(axis=1)
         dcols = (self.weight.reshape(self.out_ch, -1).T @ g2).reshape(cols.shape)
@@ -312,163 +331,117 @@ class Conv2D(Layer):
         return (self.out_ch, ho, wo)
 
 
-@dataclass
-class KanEdgeParams:
-    """Scalars of one learnable edge function."""
-    coeffs: np.ndarray
-    w_base: float
-    w_spline: float
-    shift: float
+class _KanLayer(Layer):
+    """Edge parameters and the expand-then-GEMM passes shared by the
+    spline-kernel layers.
 
+    Each edge term has shape (O, C) + kernel.  The passes run on an
+    [N, C, H, W] input with the geometry ``kh``, ``kw``, ``stride`` and
+    ``pad`` of the subclass.
+    """
 
-def kan_edge_eval(x, edge: KanEdgeParams, spec: SplineSpec,
-                  base_act: str = "silu"):
-    """phi(x) for one edge; x may be a scalar or any-shape array."""
-    from .splines import basis_eval
-    fn, _ = _act_pair(base_act)
-    xa = np.asarray(x, dtype=np.float64)
-    phi = basis_eval(xa, spec)
-    spline = phi @ np.asarray(edge.coeffs, dtype=np.float64)
-    return edge.w_base * fn(xa) + edge.w_spline * spline + edge.shift
+    kh: int
+    kw: int
+    stride: int
+    pad: int
 
-
-def _kan_chunk(t: int, b: int, p: int, n: int) -> int:
-    per_sample = max(1, t * b * p)
-    return max(1, min(n, KAN_CHUNK_ELEMS // per_sample))
-
-
-def _kan_forward(cols, w_base2, w_spline2, coeffs3, shift2, bias, mask,
-                 spec, act_fn):
-    """cols [T,N,P] -> out [O,N,P] with masked channels forced to 0."""
-    o, t = w_base2.shape
-    b = spec.basis_count
-    _, n, p = cols.shape
-    w_sp = (w_spline2[:, :, None] * coeffs3).reshape(o, t * b)
-    out = np.empty((o, n, p), dtype=cols.dtype)
-    nc = _kan_chunk(t, b, p, n)
-    for n0 in range(0, n, nc):
-        xc = cols[:, n0:n0 + nc]
-        phi = basis_block(xc, spec)
-        z = w_sp @ phi.reshape(t * b, -1)
-        z += w_base2 @ act_fn(xc).reshape(t, -1)
-        out[:, n0:n0 + nc] = z.reshape(o, xc.shape[1], p)
-    out += (shift2.sum(axis=1) + bias)[:, None, None]
-    out[~mask] = 0.0
-    return out
-
-
-def _kan_backward(dout_f, cols, w_base2, w_spline2, coeffs3, mask, spec,
-                  act_fn, act_grad_fn,
-                  gw_base2, gw_spline2, gcoeffs3, gshift2, gbias):
-    """dout_f [O,N,P] -> dcols [T,N,P], accumulating parameter grads."""
-    o, t = w_base2.shape
-    b = spec.basis_count
-    _, n, p = cols.shape
-    g_f = dout_f.copy()
-    g_f[~mask] = 0.0
-    s = g_f.sum(axis=(1, 2))
-    gbias += s
-    gshift2 += s[:, None]
-    w_sp = (w_spline2[:, :, None] * coeffs3).reshape(o, t * b)
-    draw = np.zeros((o, t * b), dtype=cols.dtype)
-    dcols = np.empty_like(cols)
-    nc = _kan_chunk(t, b, p, n)
-    for n0 in range(0, n, nc):
-        xc = cols[:, n0:n0 + nc]
-        gc = np.ascontiguousarray(g_f[:, n0:n0 + nc]).reshape(o, -1)
-        gw_base2 += gc @ act_fn(xc).reshape(t, -1).T
-        phi, dphi = basis_and_deriv_block(xc, spec)
-        draw += gc @ phi.reshape(t * b, -1).T
-        back = (w_sp.T @ gc).reshape(t, b, xc.shape[1], p)
-        dc = (w_base2.T @ gc).reshape(t, xc.shape[1], p) * act_grad_fn(xc)
-        dc += np.einsum("tbnp,tbnp->tnp", back, dphi)
-        dcols[:, n0:n0 + nc] = dc
-    draw3 = draw.reshape(o, t, b)
-    gcoeffs3 += w_spline2[:, :, None] * draw3
-    gw_spline2 += (coeffs3 * draw3).sum(axis=-1)
-    return dcols
-
-
-class KanConv2D(Layer):
-    """Convolution whose kernel taps are learnable 1-D spline functions."""
-
-    def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
-                 stride: int = 1, pad: int = 0, spec: SplineSpec = None,
-                 base_act: str = "silu", rng=None,
-                 dtype=T.DEFAULT_DTYPE, name: str = ""):
-        kw = kh if kw is None else kw
+    def _init_edges(self, out_ch: int, in_ch: int, kernel: tuple,
+                    spec: SplineSpec, base_act: str, rng, dtype) -> None:
         rng = rng or np.random.default_rng()
         if spec is None:
-            raise ConfigError("KanConv2D requires a SplineSpec")
-        self.in_ch, self.out_ch = int(in_ch), int(out_ch)
-        self.kh, self.kw = int(kh), int(kw)
-        self.stride, self.pad = int(stride), int(pad)
+            raise ConfigError(f"{type(self).__name__} requires a SplineSpec")
         self.spec = spec
         self.base_act = base_act
         self.act_fn, self.act_grad_fn = _act_pair(base_act)
         b = spec.basis_count
-        shape4 = (self.out_ch, self.in_ch, self.kh, self.kw)
-        fan_in = self.in_ch * self.kh * self.kw
-        bound = 1.0 / np.sqrt(fan_in)
-        self.w_base = rng.uniform(-bound, bound, shape4).astype(dtype)
-        self.w_spline = np.ones(shape4, dtype=dtype)
-        self.coeffs = rng.normal(0.0, 0.1 / np.sqrt(b), shape4 + (b,)).astype(dtype)
-        self.shift = np.zeros(shape4, dtype=dtype)
-        self.bias = np.zeros(self.out_ch, dtype=dtype)
+        shape = (out_ch, in_ch) + kernel
+        bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
+        self.w_base = rng.uniform(-bound, bound, shape).astype(dtype)
+        self.w_spline = np.ones(shape, dtype=dtype)
+        self.coeffs = rng.normal(0.0, 0.1 / np.sqrt(b), shape + (b,)).astype(dtype)
+        self.shift = np.zeros(shape, dtype=dtype)
+        self.bias = np.zeros(out_ch, dtype=dtype)
         self.g_w_base = np.zeros_like(self.w_base)
         self.g_w_spline = np.zeros_like(self.w_spline)
         self.g_coeffs = np.zeros_like(self.coeffs)
         self.g_shift = np.zeros_like(self.shift)
         self.g_bias = np.zeros_like(self.bias)
-        self.channel_mask = np.ones(self.out_ch, dtype=bool)
-        self.name = name
+        self.channel_mask = np.ones(out_ch, dtype=bool)
         self._cache = None
 
-    @property
-    def taps(self) -> int:
-        return self.in_ch * self.kh * self.kw
+    def _expand(self, xp, with_deriv: bool):
+        """Per-pixel expansion of [N, C, H, W] into the [N, C*(B+1), H, W]
+        map whose channel c*(B+1) + m holds act(x_c) for m = 0 and
+        basis_m(x_c) after it; with ``with_deriv`` also its elementwise
+        d/dx, as [N*C, B+1, H*W]."""
+        n, c, h, w = xp.shape
+        x3 = xp.reshape(n * c, 1, h * w)
+        dmap = None
+        if with_deriv:
+            basis, dbasis = basis_and_deriv_block(x3, self.spec)
+            dmap = np.concatenate([self.act_grad_fn(x3), dbasis[:, :, 0]], axis=1)
+        else:
+            basis = basis_block(x3, self.spec)
+        emap = np.concatenate([self.act_fn(x3), basis[:, :, 0]], axis=1)
+        return emap.reshape(n, -1, h, w), dmap
 
-    def edge(self, o: int, c: int, ki: int, kj: int) -> KanEdgeParams:
-        return KanEdgeParams(
-            coeffs=self.coeffs[o, c, ki, kj],
-            w_base=float(self.w_base[o, c, ki, kj]),
-            w_spline=float(self.w_spline[o, c, ki, kj]),
-            shift=float(self.shift[o, c, ki, kj]),
-        )
+    def _folded(self):
+        """Weight [O, C*(B+1)*kh*kw] of the classical convolution over the
+        expanded map, [w_b, w_s * c] per edge, and its bias with the edge
+        shifts summed in."""
+        o, c = self.w_base.shape[:2]
+        w = np.empty((o, c, self.spec.basis_count + 1) + self.w_base.shape[2:],
+                     dtype=self.w_base.dtype)
+        w[:, :, 0] = self.w_base
+        w[:, :, 1:] = np.moveaxis(self.w_spline[..., None] * self.coeffs, -1, 2)
+        return w.reshape(o, -1), self.shift.reshape(o, -1).sum(axis=1) + self.bias
 
-    def forward(self, x, training=True):
-        n, c, h, w = x.shape
-        if c != self.in_ch:
-            raise DimensionError(f"{self.name or 'kanconv'}: expected {self.in_ch} channels, got {c}")
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        cols = T.im2col_batch(x, self.kh, self.kw, self.stride, self.pad)
-        o, t = self.out_ch, self.taps
-        out_f = _kan_forward(
-            cols, self.w_base.reshape(o, t), self.w_spline.reshape(o, t),
-            self.coeffs.reshape(o, t, -1), self.shift.reshape(o, t),
-            self.bias, self.channel_mask, self.spec, self.act_fn,
-        )
+    def _forward4(self, x, training):
+        h, w = x.shape[2:]
+        # rejects a bad geometry before np.pad sees it
+        T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
+        # pad before expanding, so padded taps read phi(0) rather than 0
+        if self.pad:
+            p = self.pad
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        emap, dmap = self._expand(x, training)
+        w2, bias = self._folded()
+        out = _conv_gemm(emap, w2, bias, self.kh, self.kw, self.stride, 0)[0]
+        out[:, ~self.channel_mask] = 0.0
         if training:
-            self._cache = (x.shape, cols)
-        out = out_f.transpose(1, 0, 2)
-        return np.ascontiguousarray(out).reshape(n, o, ho, wo)
+            self._cache = (emap, dmap)
+        return out
 
     def backward(self, dout):
-        x_shape, cols = self._need_cache(self._cache)
-        n = x_shape[0]
-        o, t = self.out_ch, self.taps
-        p = dout.shape[2] * dout.shape[3]
-        dout_f = np.ascontiguousarray(dout.reshape(n, o, p).transpose(1, 0, 2))
-        dcols = _kan_backward(
-            dout_f, cols,
-            self.w_base.reshape(o, t), self.w_spline.reshape(o, t),
-            self.coeffs.reshape(o, t, -1), self.channel_mask, self.spec,
-            self.act_fn, self.act_grad_fn,
-            self.g_w_base.reshape(o, t), self.g_w_spline.reshape(o, t),
-            self.g_coeffs.reshape(o, t, -1), self.g_shift.reshape(o, t),
-            self.g_bias,
-        )
-        return T.col2im_batch(dcols, x_shape, self.kh, self.kw, self.stride, self.pad)
+        emap, dmap = self._need_cache(self._cache)
+        g = np.where(self.channel_mask[:, None], _gemm_rows(dout), 0)
+        # the columns are rebuilt from the cached map rather than cached:
+        # they are kh*kw times its size
+        cols = T.im2col_batch(emap, self.kh, self.kw, self.stride)
+        gw = g @ cols.reshape(cols.shape[0], -1).T
+        cols_shape = cols.shape
+        del cols
+        w2, _ = self._folded()
+        dcols = (w2.T @ g).reshape(cols_shape)
+        demap = T.col2im_batch(dcols, emap.shape, self.kh, self.kw, self.stride)
+        del dcols
+        self._accumulate(gw, g.sum(axis=1))
+        n, _, h, w = emap.shape
+        dx = (demap.reshape(dmap.shape) * dmap).sum(axis=1).reshape(n, -1, h, w)
+        p = self.pad
+        return dx[:, :, p:h - p, p:w - p] if p else dx
+
+    def _accumulate(self, gw, gsum) -> None:
+        """Unfold a gradient of the folded weight and bias into the edge
+        parameter gradients."""
+        o, c = self.w_base.shape[:2]
+        gw = gw.reshape((o, c, -1) + self.w_base.shape[2:])
+        self.g_w_base += gw[:, :, 0]
+        draw = np.moveaxis(gw[:, :, 1:], 2, -1)
+        self.g_coeffs += self.w_spline[..., None] * draw
+        self.g_w_spline += (self.coeffs * draw).sum(axis=-1)
+        self.g_shift += gsum.reshape((o,) + (1,) * (self.shift.ndim - 1))
+        self.g_bias += gsum
 
     def params(self):
         return [("coeffs", self.coeffs), ("w_base", self.w_base),
@@ -487,8 +460,34 @@ class KanConv2D(Layer):
         return int(self.channel_mask.sum())
 
     def param_count(self):
-        per_channel = self.taps * (self.spec.basis_count + 3) + 1
-        return self.active_channels() * per_channel
+        per_out = self.w_base[0].size * (self.spec.basis_count + 3) + 1
+        return self.active_channels() * per_out
+
+
+class KanConv2D(_KanLayer):
+    """Convolution whose kernel taps are learnable 1-D spline functions."""
+
+    def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
+                 stride: int = 1, pad: int = 0, spec: SplineSpec = None,
+                 base_act: str = "silu", rng=None,
+                 dtype=T.DEFAULT_DTYPE, name: str = ""):
+        kw = kh if kw is None else kw
+        self.in_ch, self.out_ch = int(in_ch), int(out_ch)
+        self.kh, self.kw = int(kh), int(kw)
+        self.stride, self.pad = int(stride), int(pad)
+        self._init_edges(self.out_ch, self.in_ch, (self.kh, self.kw), spec,
+                         base_act, rng, dtype)
+        self.name = name
+
+    @property
+    def taps(self) -> int:
+        return self.in_ch * self.kh * self.kw
+
+    def forward(self, x, training=True):
+        _, c, _, _ = x.shape
+        if c != self.in_ch:
+            raise DimensionError(f"{self.name or 'kanconv'}: expected {self.in_ch} channels, got {c}")
+        return self._forward4(x, training)
 
     def mac_count(self, in_shape):
         c, h, w = in_shape
@@ -504,85 +503,31 @@ class KanConv2D(Layer):
         return (self.out_ch, ho, wo)
 
 
-class KanLinear(Layer):
-    """Fully connected layer whose weights are learnable spline functions."""
+class KanLinear(_KanLayer):
+    """Fully connected layer whose weights are learnable spline functions.
+
+    It runs as a 1x1 spline-kernel convolution over [N, F, 1, 1].
+    """
+
+    kh = kw = stride = 1
+    pad = 0
 
     def __init__(self, in_features: int, out_features: int,
                  spec: SplineSpec = None, base_act: str = "silu", rng=None,
                  dtype=T.DEFAULT_DTYPE, name: str = ""):
-        rng = rng or np.random.default_rng()
-        if spec is None:
-            raise ConfigError("KanLinear requires a SplineSpec")
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.spec = spec
-        self.base_act = base_act
-        self.act_fn, self.act_grad_fn = _act_pair(base_act)
-        b = spec.basis_count
-        shape2 = (self.out_features, self.in_features)
-        bound = 1.0 / np.sqrt(self.in_features)
-        self.w_base = rng.uniform(-bound, bound, shape2).astype(dtype)
-        self.w_spline = np.ones(shape2, dtype=dtype)
-        self.coeffs = rng.normal(0.0, 0.1 / np.sqrt(b), shape2 + (b,)).astype(dtype)
-        self.shift = np.zeros(shape2, dtype=dtype)
-        self.bias = np.zeros(self.out_features, dtype=dtype)
-        self.g_w_base = np.zeros_like(self.w_base)
-        self.g_w_spline = np.zeros_like(self.w_spline)
-        self.g_coeffs = np.zeros_like(self.coeffs)
-        self.g_shift = np.zeros_like(self.shift)
-        self.g_bias = np.zeros_like(self.bias)
-        self.channel_mask = np.ones(self.out_features, dtype=bool)
+        self._init_edges(self.out_features, self.in_features, (), spec,
+                         base_act, rng, dtype)
         self.name = name
-        self._x = None
-
-    def edge(self, o: int, i: int) -> KanEdgeParams:
-        return KanEdgeParams(
-            coeffs=self.coeffs[o, i], w_base=float(self.w_base[o, i]),
-            w_spline=float(self.w_spline[o, i]), shift=float(self.shift[o, i]),
-        )
 
     def forward(self, x, training=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise DimensionError(f"{self.name or 'kanlinear'}: expected [N,{self.in_features}], got {x.shape}")
-        cols = np.ascontiguousarray(x.T)[:, :, None]     # [F, N, 1]
-        out_f = _kan_forward(
-            cols, self.w_base, self.w_spline, self.coeffs, self.shift,
-            self.bias, self.channel_mask, self.spec, self.act_fn,
-        )
-        if training:
-            self._x = (x.shape, cols)
-        return np.ascontiguousarray(out_f[:, :, 0].T)
+        return self._forward4(x[:, :, None, None], training)[:, :, 0, 0]
 
     def backward(self, dout):
-        x_shape, cols = self._need_cache(self._x)
-        dout_f = np.ascontiguousarray(dout.T)[:, :, None]
-        dcols = _kan_backward(
-            dout_f, cols, self.w_base, self.w_spline, self.coeffs,
-            self.channel_mask, self.spec, self.act_fn, self.act_grad_fn,
-            self.g_w_base, self.g_w_spline, self.g_coeffs, self.g_shift,
-            self.g_bias,
-        )
-        return np.ascontiguousarray(dcols[:, :, 0].T)
-
-    def params(self):
-        return [("coeffs", self.coeffs), ("w_base", self.w_base),
-                ("w_spline", self.w_spline), ("shift", self.shift),
-                ("bias", self.bias)]
-
-    def grads(self):
-        return [("coeffs", self.g_coeffs), ("w_base", self.g_w_base),
-                ("w_spline", self.g_w_spline), ("shift", self.g_shift),
-                ("bias", self.g_bias)]
-
-    def state_extra(self):
-        return [("channel_mask", self.channel_mask)]
-
-    def active_channels(self) -> int:
-        return int(self.channel_mask.sum())
-
-    def param_count(self):
-        per_out = self.in_features * (self.spec.basis_count + 3) + 1
-        return self.active_channels() * per_out
+        return super().backward(dout[:, :, None, None])[:, :, 0, 0]
 
     def mac_count(self, in_shape):
         return (self.in_features * self.active_channels()
@@ -595,18 +540,25 @@ class KanLinear(Layer):
 
 
 class _Wrap1D(Layer):
-    """Adapter running a 2-D layer over [N, C, L] with height 1."""
+    """Adapter running a 2-D layer over [N, C, L] with height 1; ``pad``
+    zero-pads the length axis only."""
 
     inner: Layer
+    pad: int = 0
 
     def forward(self, x, training=True):
         if x.ndim != 3:
             raise DimensionError(f"1-D layer expects [N,C,L], got rank {x.ndim}")
+        if self.pad:
+            x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
         out = self.inner.forward(x[:, :, None, :], training=training)
         return out[:, :, 0, :]
 
     def backward(self, dout):
-        return self.inner.backward(dout[:, :, None, :])[:, :, 0, :]
+        dx = self.inner.backward(dout[:, :, None, :])[:, :, 0, :]
+        if self.pad:
+            dx = dx[:, :, self.pad:dx.shape[2] - self.pad]
+        return dx
 
     def params(self):
         return self.inner.params()
@@ -622,11 +574,11 @@ class _Wrap1D(Layer):
 
     def mac_count(self, in_shape):
         c, length = in_shape
-        return self.inner.mac_count((c, 1, length))
+        return self.inner.mac_count((c, 1, length + 2 * self.pad))
 
     def output_shape(self, in_shape):
         c, length = in_shape
-        co, _, lo = self.inner.output_shape((c, 1, length))
+        co, _, lo = self.inner.output_shape((c, 1, length + 2 * self.pad))
         return (co, lo)
 
 
@@ -637,26 +589,6 @@ class Conv1D(_Wrap1D):
                             rng=rng, dtype=dtype, name=name)
         self.pad = int(pad)
         self.name = name
-
-    def forward(self, x, training=True):
-        if self.pad:
-            x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        return super().forward(x, training=training)
-
-    def backward(self, dout):
-        dx = super().backward(dout)
-        if self.pad:
-            dx = dx[:, :, self.pad:dx.shape[2] - self.pad]
-        return dx
-
-    def mac_count(self, in_shape):
-        c, length = in_shape
-        return self.inner.mac_count((c, 1, length + 2 * self.pad))
-
-    def output_shape(self, in_shape):
-        c, length = in_shape
-        co, _, lo = self.inner.output_shape((c, 1, length + 2 * self.pad))
-        return (co, lo)
 
 
 class KanConv1D(_Wrap1D):
@@ -686,26 +618,6 @@ class KanConv1D(_Wrap1D):
     @property
     def taps(self):
         return self.inner.taps
-
-    def forward(self, x, training=True):
-        if self.pad:
-            x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        return super().forward(x, training=training)
-
-    def backward(self, dout):
-        dx = super().backward(dout)
-        if self.pad:
-            dx = dx[:, :, self.pad:dx.shape[2] - self.pad]
-        return dx
-
-    def mac_count(self, in_shape):
-        c, length = in_shape
-        return self.inner.mac_count((c, 1, length + 2 * self.pad))
-
-    def output_shape(self, in_shape):
-        c, length = in_shape
-        co, _, lo = self.inner.output_shape((c, 1, length + 2 * self.pad))
-        return (co, lo)
 
 
 class MaxPool1D(_Wrap1D):

@@ -2,8 +2,10 @@
 
 Arrays are plain numpy ndarrays in C (row-major) order.  Training runs in
 float32 by default; verification (finite-difference) runs use float64.
-The convolution path is im2col + one matrix multiply; col2im is its exact
-adjoint so gradient checks close to machine precision.
+Every convolution, classical or spline-kernel, is im2col + one matrix
+multiply; a spline-kernel layer first expands its input into a per-pixel
+basis map and runs that path on the map.  col2im is the exact adjoint of
+im2col, so gradient checks close to machine precision.
 """
 
 from __future__ import annotations
@@ -159,14 +161,12 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    np.exp(-x, where=pos, out=out)
-    out[pos] = 1.0 / (1.0 + out[pos])
-    neg = ~pos
-    ex = np.exp(x[neg])
-    out[neg] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) from e = exp(-|x|), which never overflows:
+    1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    num = np.where(x >= 0, 1, e)
+    e += 1
+    return np.divide(num, e, out=num)
 
 
 def sigmoid_grad(x: np.ndarray) -> np.ndarray:

@@ -65,6 +65,12 @@ class TestLayerGradients:
         x = 0.5 * rng.standard_normal((2, 2, 5, 5))
         check_layer_grads(lyr, x)
 
+    @pytest.mark.parametrize("spec", [rbf_spec(4), bspline_spec(5, 3)])
+    def test_kanconv2d_strided_padded(self, spec, rng):
+        lyr = KanConv2D(2, 3, 3, stride=2, pad=1, spec=spec, rng=rng,
+                        dtype=np.float64)
+        check_layer_grads(lyr, 0.5 * rng.standard_normal((2, 2, 6, 7)))
+
     def test_kanconv2d_masked(self, rng):
         lyr = KanConv2D(1, 3, 3, spec=rbf_spec(3), rng=rng, dtype=np.float64)
         lyr.channel_mask[1] = False
@@ -82,6 +88,11 @@ class TestLayerGradients:
         lyr = KanConv1D(2, 3, 3, pad=1, spec=rbf_spec(3), rng=rng,
                         dtype=np.float64)
         check_layer_grads(lyr, 0.5 * rng.standard_normal((2, 2, 9)))
+
+    def test_kanconv1d_strided_padded(self, rng):
+        lyr = KanConv1D(2, 3, 5, stride=2, pad=2, spec=rbf_spec(3), rng=rng,
+                        dtype=np.float64)
+        check_layer_grads(lyr, 0.5 * rng.standard_normal((2, 2, 11)))
 
     def test_maxpool2d_input_grad(self, rng):
         # distinct values keep the argmax stable under FD probes

@@ -10,7 +10,7 @@ from ckanbench.errors import ConfigError, DimensionError, StateError
 from ckanbench.layers import (Activation, Conv1D, Conv2D, Flatten,
                               GlobalAvgPool1D, KanConv1D, KanConv2D,
                               KanLinear, Linear, MaxPool1D, MaxPool2D,
-                              Reshape, kan_edge_eval)
+                              Reshape)
 from ckanbench.splines import bspline_spec, rbf_spec
 
 
@@ -76,16 +76,14 @@ class TestKanConv2DForward:
         np.testing.assert_allclose(lyr.forward(x), twin.forward(xp),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_chunking_invariance(self, rng, monkeypatch):
-        from ckanbench import layers as layers_mod
+    def test_batch_split_invariance(self, rng):
         spec = rbf_spec(4)
         lyr = KanConv2D(2, 2, 3, pad=1, spec=spec, rng=rng, dtype=np.float64)
         x = rng.standard_normal((7, 2, 6, 6))
         full = lyr.forward(x)
-        monkeypatch.setattr(layers_mod, "KAN_CHUNK_ELEMS", 500)
-        chunked = lyr.forward(x)
-        # chunk boundaries change gemm blocking, so allow fp rounding only
-        np.testing.assert_allclose(chunked, full, rtol=0, atol=1e-13)
+        split = np.concatenate([lyr.forward(x[:3]), lyr.forward(x[3:])])
+        # the batch size changes gemm blocking, so allow fp rounding only
+        np.testing.assert_allclose(split, full, rtol=0, atol=1e-13)
 
     def test_param_count_example(self, rng):
         # 2->4 3x3 edges with an RBF grid of 4: (4+3) scalars per edge
@@ -130,16 +128,22 @@ class TestDegenerateEquivalence:
 
 
 class TestKanEdge:
-    def test_edge_accessor_and_eval(self, rng):
-        spec = rbf_spec(3)
-        lyr = KanConv2D(1, 2, 3, spec=spec, rng=rng, dtype=np.float64)
-        edge = lyr.edge(1, 0, 2, 1)
+    @pytest.mark.parametrize("spec", [rbf_spec(3), bspline_spec(4, 2)])
+    def test_single_tap_matches_scalar_oracle(self, spec, rng):
+        # a 1x1 kernel over one pixel: output o is phi_o(x) + bias_o
+        lyr = KanConv2D(1, 2, 1, spec=spec, rng=rng, dtype=np.float64)
+        lyr.w_spline[:] = rng.uniform(0.5, 1.5, lyr.w_spline.shape)
+        lyr.shift[:] = 0.1 * rng.standard_normal(lyr.shift.shape)
+        lyr.bias[:] = rng.standard_normal(2)
         for x in (-1.3, 0.0, 0.4, 2.5):
-            want = oracles.edge_phi_scalar(
-                x, edge.coeffs, edge.w_base, edge.w_spline, edge.shift,
-                "rbf", 3, 0, spec.domain)
-            got = float(kan_edge_eval(x, edge, spec))
-            assert abs(got - want) < 1e-12
+            got = lyr.forward(np.full((1, 1, 1, 1), x))[0, :, 0, 0]
+            for o in range(2):
+                want = oracles.edge_phi_scalar(
+                    x, lyr.coeffs[o, 0, 0, 0], lyr.w_base[o, 0, 0, 0],
+                    lyr.w_spline[o, 0, 0, 0], lyr.shift[o, 0, 0, 0],
+                    spec.family.value, spec.grid_size, spec.degree,
+                    spec.domain) + lyr.bias[o]
+                assert abs(got[o] - want) < 1e-12
 
 
 class TestChannelMask:
@@ -232,6 +236,22 @@ class TestMaxPool:
         out = lyr.forward(x)
         dx = lyr.backward(np.ones_like(out))
         assert dx.sum() == out.size
+
+    def test_tiling_fast_path_matches_strided_path(self, rng):
+        # 8x8 takes the reshape path; a 9x9 input holding it in its top
+        # left corner takes the strided path over the same windows.  ReLU
+        # input with all-zero windows makes ties the common case.
+        x = np.maximum(rng.standard_normal((2, 3, 8, 8)), 0.0)
+        x[:, :, :4, :4] = 0.0
+        x9 = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
+        fast, strided = MaxPool2D(2), MaxPool2D(2)
+        out = fast.forward(x)
+        np.testing.assert_array_equal(out, strided.forward(x9))
+        np.testing.assert_array_equal(fast._cache[1], strided._cache[1])
+        dout = rng.standard_normal(out.shape)
+        dx9 = strided.backward(dout)
+        np.testing.assert_array_equal(fast.backward(dout), dx9[:, :, :8, :8])
+        assert not dx9[:, :, 8].any() and not dx9[:, :, :, 8].any()
 
     def test_zero_macs(self):
         assert MaxPool2D(2).mac_count((3, 8, 8)) == 0
