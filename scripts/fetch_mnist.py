@@ -60,9 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(args.out, exist_ok=True)
     names = [n for pair in MNIST_FILES.values() for n in pair]
     for name in names:
-        path = fetch_one(name, args.out)
-        with gzip.open(path, "rb") as fh:
-            arr = read_idx(fh.read())
+        arr = read_idx(fetch_one(name, args.out))
         print(f"  ok: {name} -> shape {arr.shape}")
     print(f"done. point $CKANBENCH_MNIST at {os.path.abspath(args.out)}")
     return 0

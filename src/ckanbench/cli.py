@@ -18,7 +18,6 @@ from . import models as M
 from .errors import ConfigError, ConsistencyError, FormatError
 from .evaluation import (apply_prune_mask, finetune_pruned, latency_profile,
                          prune_channels_l2)
-from .splines import SplineSpec
 from .sweep import default_sweep_config, parse_sweep_config, run_sweep
 from .training import EarlyStopper, evaluate_model, fit
 
@@ -46,30 +45,18 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="tabular models only")
 
 
-def _spec_from_args(args) -> SplineSpec:
-    degree = args.degree if args.basis == "bspline" else 0
-    return SplineSpec(args.basis, args.grid, degree)
-
-
 def _build_from_args(model_name: str, args, n_features=None, n_labels=None):
-    spec = _spec_from_args(args)
-    w = args.width_mult
-    relu_on = args.relu == "on"
-    seed = args.seed
-    if model_name == "lenet":
-        return M.build_lenet(w, relu_on, seed)
-    if model_name == "lenet-kan":
-        return M.build_lenet_kan(spec, w, relu_on, seed)
-    if model_name == "lenet-kan-full":
-        return M.build_lenet_kan_full(spec, w, relu_on, seed)
-    if model_name == "alexnet":
-        return M.build_alexnet(False, seed=seed)
-    if model_name == "alexnet-kan":
-        return M.build_alexnet(True, spec, seed=seed)
-    nf = n_features if n_features is not None else args.n_features
-    nl = n_labels if n_labels is not None else args.n_labels
-    return M.build_tabular_cnn(nf, nl, kan=model_name == "tabular-kan",
-                               spec=spec, seed=seed)
+    """Build a model from its CLI flags through ``build_from_config``."""
+    nf = args.n_features if n_features is None else n_features
+    nl = args.n_labels if n_labels is None else n_labels
+    cfg = {
+        "arch": model_name.replace("-", "_"), "seed": str(args.seed),
+        "width_mult": repr(args.width_mult), "relu": args.relu,
+        "family": args.basis, "grid": str(args.grid),
+        "degree": str(args.degree if args.basis == "bspline" else 0),
+        "n_features": str(nf), "n_labels": str(nl),
+    }
+    return M.build_from_config(cfg)
 
 
 def _load_train_val(model_name: str, args):
@@ -167,6 +154,8 @@ def cmd_prune(args) -> int:
             raise ConfigError("--finetune-epochs needs --data for fine-tuning")
         args.model = model.meta["arch"].replace("_", "-")
         train, val = _load_train_val(args.model, args)
+        if args.subset:
+            train = dio.subset_dataset(train, args.subset, args.seed)
         result = finetune_pruned(model, mask, train, val,
                                  epochs=args.finetune_epochs,
                                  batch_size=args.batch, lr=args.lr,

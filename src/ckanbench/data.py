@@ -81,11 +81,13 @@ def read_idx(path: str) -> np.ndarray:
 
 
 def _read_idx_checked(path: str, expected_magic: int) -> np.ndarray:
-    buf_magic = _be32(_read_bytes(path), 0)
-    if buf_magic != expected_magic:
+    arr = read_idx(path)
+    # read_idx accepts only unsigned bytes, whose magic is 0x0800 + ndim
+    magic = 0x0800 + arr.ndim
+    if magic != expected_magic:
         raise FormatError(
-            f"{path}: expected IDX magic {expected_magic}, found {buf_magic}")
-    return read_idx(path)
+            f"{path}: expected IDX magic {expected_magic}, found {magic}")
+    return arr
 
 
 def write_idx_images(path: str, images: np.ndarray) -> None:

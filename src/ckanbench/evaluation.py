@@ -220,9 +220,8 @@ def masked_scalar_count(model) -> int:
     """Learnable scalars belonging to currently masked channels."""
     total = 0
     for layer in model.kan_conv_layers():
-        inner = getattr(layer, "inner", layer)
-        masked = int((~inner.channel_mask).sum())
-        per_channel = inner.taps * (inner.spec.basis_count + 3) + 1
+        masked = int((~layer.channel_mask).sum())
+        per_channel = layer.taps * (layer.spec.basis_count + 3) + 1
         total += masked * per_channel
     return total
 

@@ -20,6 +20,11 @@ rest.  Training caches the expanded map and its per-pixel derivative,
 and backward rebuilds the columns from them.  ``KanLinear`` is the 1x1
 case of the same path.
 
+The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
+2-D classes with a (1, k) kernel or window, run on the height-1 map
+[N, C, 1, L].  Their parameters, names and counts are those of that 2-D
+layer; only the [N, C, L] reshape and the length-axis padding are 1-D.
+
 Channel masks: KAN layers carry a boolean ``channel_mask`` over
 output channels.  Masked channels output exactly 0, receive zero
 gradients, and are excluded from parameter and MAC counts.
@@ -265,6 +270,21 @@ def _conv_gemm(x, w2, bias, kh, kw, stride, pad):
     return np.ascontiguousarray(out).reshape(n, -1, ho, wo), cols
 
 
+def _gemm_backward(g, w2, cols, x_shape, kh, kw, stride, pad):
+    """Backward of ``_conv_gemm`` from its output gradient ``g`` in
+    ``_gemm_rows`` layout: returns the weight gradient [O, C*kh*kw] and
+    the input gradient of shape ``x_shape``.
+
+    The columns are dropped before the input-gradient columns are
+    allocated, so a caller that passes ``cols`` inline never holds both.
+    """
+    cols_shape = cols.shape
+    gw = g @ cols.reshape(cols_shape[0], -1).T
+    del cols
+    dcols = (w2.T @ g).reshape(cols_shape)
+    return gw, T.col2im_batch(dcols, x_shape, kh, kw, stride, pad)
+
+
 def _gemm_rows(dout):
     """[N, O, Ho, Wo] -> [O, N*Ho*Wo], the layout of a conv GEMM's output."""
     n, o = dout.shape[:2]
@@ -304,10 +324,11 @@ class Conv2D(Layer):
     def backward(self, dout):
         x_shape, cols = self._need_cache(self._cache)
         g2 = _gemm_rows(dout)
-        self.gweight += (g2 @ cols.reshape(cols.shape[0], -1).T).reshape(self.weight.shape)
+        gw, dx = _gemm_backward(g2, self.weight.reshape(self.out_ch, -1), cols,
+                                x_shape, self.kh, self.kw, self.stride, self.pad)
+        self.gweight += gw.reshape(self.weight.shape)
         self.gbias += g2.sum(axis=1)
-        dcols = (self.weight.reshape(self.out_ch, -1).T @ g2).reshape(cols.shape)
-        return T.col2im_batch(dcols, x_shape, self.kh, self.kw, self.stride, self.pad)
+        return dx
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -416,15 +437,11 @@ class _KanLayer(Layer):
         emap, dmap = self._need_cache(self._cache)
         g = np.where(self.channel_mask[:, None], _gemm_rows(dout), 0)
         # the columns are rebuilt from the cached map rather than cached:
-        # they are kh*kw times its size
-        cols = T.im2col_batch(emap, self.kh, self.kw, self.stride)
-        gw = g @ cols.reshape(cols.shape[0], -1).T
-        cols_shape = cols.shape
-        del cols
-        w2, _ = self._folded()
-        dcols = (w2.T @ g).reshape(cols_shape)
-        demap = T.col2im_batch(dcols, emap.shape, self.kh, self.kw, self.stride)
-        del dcols
+        # they are kh*kw times its size.  Passed inline, the helper holds
+        # the only reference and frees them before it allocates dcols.
+        gw, demap = _gemm_backward(
+            g, self._folded()[0],
+            T.im2col_batch(emap, self.kh, self.kw, self.stride), emap.shape, self.kh, self.kw, self.stride, 0)
         self._accumulate(gw, g.sum(axis=1))
         n, _, h, w = emap.shape
         dx = (demap.reshape(dmap.shape) * dmap).sum(axis=1).reshape(n, -1, h, w)
@@ -539,92 +556,57 @@ class KanLinear(_KanLayer):
         return (self.out_features,)
 
 
-class _Wrap1D(Layer):
-    """Adapter running a 2-D layer over [N, C, L] with height 1; ``pad``
-    zero-pads the length axis only."""
+class _Length1D(Layer):
+    """Runs the 2-D layer it is mixed into over [N, C, L] as the height-1
+    map [N, C, 1, L]; ``length_pad`` zero-pads the length axis only."""
 
-    inner: Layer
-    pad: int = 0
+    length_pad: int = 0
 
     def forward(self, x, training=True):
         if x.ndim != 3:
             raise DimensionError(f"1-D layer expects [N,C,L], got rank {x.ndim}")
-        if self.pad:
-            x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        out = self.inner.forward(x[:, :, None, :], training=training)
-        return out[:, :, 0, :]
+        p = self.length_pad
+        if p:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p)))
+        return super().forward(x[:, :, None, :], training=training)[:, :, 0, :]
 
     def backward(self, dout):
-        dx = self.inner.backward(dout[:, :, None, :])[:, :, 0, :]
-        if self.pad:
-            dx = dx[:, :, self.pad:dx.shape[2] - self.pad]
-        return dx
+        dx = super().backward(dout[:, :, None, :])[:, :, 0, :]
+        p = self.length_pad
+        return dx[:, :, p:dx.shape[2] - p] if p else dx
 
-    def params(self):
-        return self.inner.params()
-
-    def grads(self):
-        return self.inner.grads()
-
-    def state_extra(self):
-        return self.inner.state_extra()
-
-    def param_count(self):
-        return self.inner.param_count()
+    def _shape2d(self, in_shape):
+        c, length = in_shape
+        return (c, 1, length + 2 * self.length_pad)
 
     def mac_count(self, in_shape):
-        c, length = in_shape
-        return self.inner.mac_count((c, 1, length + 2 * self.pad))
+        return super().mac_count(self._shape2d(in_shape))
 
     def output_shape(self, in_shape):
-        c, length = in_shape
-        co, _, lo = self.inner.output_shape((c, 1, length + 2 * self.pad))
+        co, _, lo = super().output_shape(self._shape2d(in_shape))
         return (co, lo)
 
 
-class Conv1D(_Wrap1D):
+class Conv1D(_Length1D, Conv2D):
     def __init__(self, in_ch, out_ch, k, stride=1, pad=0, rng=None,
                  dtype=T.DEFAULT_DTYPE, name: str = ""):
-        self.inner = Conv2D(in_ch, out_ch, 1, k, stride=stride, pad=0,
-                            rng=rng, dtype=dtype, name=name)
-        self.pad = int(pad)
-        self.name = name
+        super().__init__(in_ch, out_ch, 1, k, stride=stride, rng=rng,
+                         dtype=dtype, name=name)
+        self.length_pad = int(pad)
 
 
-class KanConv1D(_Wrap1D):
+class KanConv1D(_Length1D, KanConv2D):
     def __init__(self, in_ch, out_ch, k, stride=1, pad=0, spec=None,
                  base_act="silu", rng=None, dtype=T.DEFAULT_DTYPE, name=""):
-        self.inner = KanConv2D(in_ch, out_ch, 1, k, stride=stride, pad=0,
-                               spec=spec, base_act=base_act, rng=rng,
-                               dtype=dtype, name=name)
-        self.pad = int(pad)
-        self.name = name
-
-    @property
-    def channel_mask(self):
-        return self.inner.channel_mask
-
-    @channel_mask.setter
-    def channel_mask(self, value):
-        self.inner.channel_mask = value
-
-    @property
-    def spec(self):
-        return self.inner.spec
-
-    def active_channels(self):
-        return self.inner.active_channels()
-
-    @property
-    def taps(self):
-        return self.inner.taps
+        super().__init__(in_ch, out_ch, 1, k, stride=stride, spec=spec,
+                         base_act=base_act, rng=rng, dtype=dtype, name=name)
+        self.length_pad = int(pad)
 
 
-class MaxPool1D(_Wrap1D):
+class MaxPool1D(_Length1D, MaxPool2D):
     def __init__(self, window=2, stride=None, name: str = ""):
-        self.inner = MaxPool2D((1, window), stride=stride if stride else window,
-                               name=name)
-        self.name = name
+        super().__init__((1, window), stride=stride if stride else window,
+                         name=name)
 
 
 class GlobalAvgPool1D(Layer):

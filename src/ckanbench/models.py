@@ -125,8 +125,7 @@ class ModelGraph:
         return out
 
     def kan_conv_layers(self) -> list:
-        return [lyr for lyr in self.layers
-                if isinstance(lyr, (L.KanConv2D, L.KanConv1D))]
+        return [lyr for lyr in self.layers if isinstance(lyr, L.KanConv2D)]
 
     def final_parametric_layer(self):
         for lyr in reversed(self.layers):

@@ -19,21 +19,6 @@ DEFAULT_DTYPE = np.float32
 VERIFY_DTYPE = np.float64
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product with explicit shape validation."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul expects rank-2 operands, got {a.ndim} and {b.ndim}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul inner dims differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
 def conv_output_hw(h: int, w: int, kh: int, kw: int,
                    stride: int, pad: int) -> tuple[int, int]:
     """Output spatial extent of a valid convolution over a padded input."""
@@ -96,58 +81,6 @@ def col2im_batch(cols: np.ndarray, input_shape: tuple[int, int, int, int],
     if pad:
         out = out[:, :, pad:hp - pad, pad:wp - pad]
     return np.ascontiguousarray(out)
-
-
-def im2col(x: np.ndarray, kh: int, kw: int,
-           stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Single-image im2col: [C,H,W] -> [C*kh*kw, Ho*Wo].
-
-    Column t holds the receptive field of output position t.
-    """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise DimensionError(f"im2col expects [C,H,W], got rank {x.ndim}")
-    return im2col_batch(x[None], kh, kw, stride, pad)[:, 0, :]
-
-
-def col2im(cols: np.ndarray, input_shape: tuple[int, int, int],
-           kh: int, kw: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Adjoint of im2col for a single image."""
-    c, h, w = input_shape
-    if cols.ndim != 2:
-        raise DimensionError(f"col2im expects rank-2 cols, got rank {cols.ndim}")
-    return col2im_batch(cols[:, None, :], (1, c, h, w), kh, kw, stride, pad)[0]
-
-
-def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries of a rank-1 array.
-
-    Ordered by descending value; ties broken toward the smaller index.
-    """
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise DimensionError(f"topk_indices expects rank-1, got rank {v.ndim}")
-    if not 1 <= k <= v.shape[0]:
-        raise DimensionError(f"k={k} out of range for length {v.shape[0]}")
-    order = np.argsort(-v, kind="stable")
-    return order[:k]
-
-
-def elementwise(x: np.ndarray, f) -> np.ndarray:
-    """Apply a scalar map to every entry, preserving shape and dtype."""
-    x = np.asarray(x)
-    if isinstance(f, np.ufunc):
-        return f(x)
-    flat = np.fromiter((f(v) for v in x.ravel()), dtype=x.dtype, count=x.size)
-    return flat.reshape(x.shape)
-
-
-def reduce_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over one axis with bounds checking."""
-    x = np.asarray(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"axis {axis} out of range for rank {x.ndim}")
-    return x.sum(axis=axis)
 
 
 def silu(x: np.ndarray) -> np.ndarray:

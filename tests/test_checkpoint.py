@@ -8,7 +8,8 @@ import pytest
 from ckanbench.checkpoint import (BLOB_NAME, MANIFEST_NAME, load_checkpoint,
                                   read_state, save_checkpoint, save_state)
 from ckanbench.errors import ConsistencyError, FormatError
-from ckanbench.models import build_lenet, build_lenet_kan_full
+from ckanbench.models import (build_lenet, build_lenet_kan_full,
+                              build_tabular_cnn)
 from ckanbench.splines import rbf_spec
 
 
@@ -117,3 +118,29 @@ class TestModelCheckpoint:
         load_checkpoint(twin, str(tmp_path))
         x = rng.standard_normal((2, 1, 28, 28))
         np.testing.assert_array_equal(model.forward(x), twin.forward(x))
+
+    def test_tabular_state_layout(self):
+        # pins the checkpoint format of the 1-D conv stages: each is
+        # stored as a 2-D layer with a (1, 5) kernel
+        def conv(i, o, c):
+            return [(f"conv{i}.weight", (o, c, 1, 5)), (f"conv{i}.bias", (o,))]
+
+        cnn = build_tabular_cnn(12, 4, kan=False)
+        assert [(n, a.shape) for n, a in cnn.state_items()] == (
+            [("proj.weight", (4096, 12)), ("proj.bias", (4096,))]
+            + conv(1, 512, 256) + conv(2, 512, 512) + conv(3, 256, 512)
+            + [("head.weight", (4, 256)), ("head.bias", (4,))])
+
+        def kconv(i, o, c):
+            edge = (o, c, 1, 5)
+            return [(f"kconv{i}.coeffs", edge + (3,)),
+                    (f"kconv{i}.w_base", edge), (f"kconv{i}.w_spline", edge),
+                    (f"kconv{i}.shift", edge), (f"kconv{i}.bias", (o,))]
+
+        kan = build_tabular_cnn(12, 4, kan=True, spec=rbf_spec(3))
+        assert [(n, a.shape) for n, a in kan.state_items()] == (
+            [("proj.weight", (1024, 12)), ("proj.bias", (1024,))]
+            + kconv(1, 128, 64) + kconv(2, 128, 128) + kconv(3, 64, 128)
+            + [("head.weight", (4, 64)), ("head.bias", (4,))]
+            + [(f"kconv{i}.channel_mask", (o,))
+               for i, o in ((1, 128), (2, 128), (3, 64))])

@@ -185,6 +185,24 @@ class TestPrune:
         out = capsys.readouterr().out
         assert "val_acc" in out and "params_after" in out
 
+    def test_prune_subset_limits_finetune_set(self, kan_checkpoint, synth_dir,
+                                             capsys, monkeypatch):
+        import ckanbench.cli as cli_mod
+
+        sizes = []
+
+        def fake_finetune(model, pmask, train, val, **k):
+            sizes.append(len(train))
+            return FitResult(RunReport(model=model.name, task="classify",
+                                       epochs=[], status="failed"),
+                             model.state_dict())
+
+        monkeypatch.setattr(cli_mod, "finetune_pruned", fake_finetune)
+        run_cli("prune", "--checkpoint", kan_checkpoint, "--ratio", "0.25",
+                "--finetune-epochs", "1", "--data", synth_dir,
+                "--subset", "96")
+        assert sizes == [96]
+
     def test_finetune_without_data_exits_1(self, kan_checkpoint, capsys):
         code = run_cli("prune", "--checkpoint", kan_checkpoint,
                        "--ratio", "0.25", "--finetune-epochs", "1")

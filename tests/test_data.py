@@ -2,16 +2,19 @@
 and the synthetic generators."""
 
 import gzip
+import importlib.util
 import os
 
 import numpy as np
 import pytest
 
-from ckanbench.data import (Dataset, load_mnist_dir, load_mnist_idx,
-                            load_tabular_csv, read_idx, split_dataset,
-                            subset_dataset, synthetic_blobs, synthetic_digits,
-                            synthetic_multilabel, write_idx_images,
-                            write_idx_labels, write_synthetic_mnist)
+from conftest import REPO_ROOT
+from ckanbench.data import (MNIST_FILES, Dataset, load_mnist_dir,
+                            load_mnist_idx, load_tabular_csv, read_idx,
+                            split_dataset, subset_dataset, synthetic_blobs,
+                            synthetic_digits, synthetic_multilabel,
+                            write_idx_images, write_idx_labels,
+                            write_synthetic_mnist)
 from ckanbench.errors import ConfigError, ConsistencyError, FormatError
 
 
@@ -104,6 +107,28 @@ class TestMnistLoading:
     def test_dir_loader_missing_files(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_mnist_dir(str(tmp_path), "train")
+
+    def test_fetch_script_checks_present_files(self, tmp_path, rng, capsys):
+        # every file is already present, so fetch_one downloads nothing
+        spec = importlib.util.spec_from_file_location(
+            "fetch_mnist", os.path.join(REPO_ROOT, "scripts", "fetch_mnist.py"))
+        fetch = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fetch)
+        for split, n in (("train", 5), ("test", 3)):
+            img_name, lbl_name = MNIST_FILES[split]
+            write_idx_images(str(tmp_path / img_name),
+                             rng.integers(0, 256, (n, 28, 28), dtype=np.uint8))
+            write_idx_labels(str(tmp_path / lbl_name),
+                             rng.integers(0, 10, n, dtype=np.uint8))
+            for name in (img_name, lbl_name):
+                raw = tmp_path / name
+                with gzip.open(str(raw) + ".gz", "wb") as out:
+                    out.write(raw.read_bytes())
+                raw.unlink()
+        assert fetch.main(["--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "ok: train-images-idx3-ubyte -> shape (5, 28, 28)" in out
+        assert "ok: t10k-labels-idx1-ubyte -> shape (3,)" in out
 
 
 class TestTabularCsv:

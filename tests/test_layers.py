@@ -290,7 +290,7 @@ class TestShapesAndWrappers:
         assert out.shape == (2, 4, 16)
         want = oracles.conv2d_naive(
             np.pad(x, ((0, 0), (0, 0), (2, 2)))[:, :, None, :],
-            c1.inner.weight, c1.inner.bias, 1, 0)[:, :, 0, :]
+            c1.weight, c1.bias, 1, 0)[:, :, 0, :]
         np.testing.assert_allclose(out, want, atol=1e-12)
         dx = c1.backward(np.ones_like(out))
         assert dx.shape == x.shape
