@@ -52,6 +52,30 @@ def _act_pair(kind: str):
     return _ACTS[kind]
 
 
+_DRAW_CHUNK = 1 << 16
+
+
+def _draw(fill, loc, scale, shape, dtype):
+    """``(loc + scale * fill()).astype(dtype)`` without the full float64
+    array: ``fill`` (``rng.random`` or ``rng.standard_normal``) writes the
+    float64 draws into a small buffer, one chunk at a time.  The draws,
+    their order and the rounding are those of ``rng.uniform(loc, loc +
+    scale, shape)`` or ``rng.normal(loc, scale, shape)`` followed by the
+    cast, so the result is bit-identical; it only skips the large
+    temporary, which dominates building a big layer such as AlexNet's fc1.
+    """
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    buf = np.empty(min(_DRAW_CHUNK, flat.size))
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        b = buf[:min(_DRAW_CHUNK, flat.size - start)]
+        fill(out=b)
+        b *= scale
+        b += loc
+        flat[start:start + b.size] = b
+    return out
+
+
 class Layer:
     """Base protocol; stateless layers only override the pass methods."""
 
@@ -216,11 +240,13 @@ class Linear(Layer):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
         bound = 1.0 / np.sqrt(self.in_features)
-        self.weight = rng.uniform(-bound, bound,
-                                  (self.out_features, self.in_features)).astype(dtype)
+        self.weight = _draw(rng.random, -bound, 2 * bound,
+                            (self.out_features, self.in_features), dtype)
         self.bias = np.zeros(self.out_features, dtype=dtype)
-        self.gweight = np.zeros_like(self.weight)
-        self.gbias = np.zeros_like(self.bias)
+        # np.zeros leaves the pages unmapped until a gradient is written;
+        # zeros_like would write every one (the layers below do the same)
+        self.gweight = np.zeros(self.weight.shape, self.weight.dtype)
+        self.gbias = np.zeros(self.bias.shape, self.bias.dtype)
         self.name = name
         self._x = None
 
@@ -303,11 +329,11 @@ class Conv2D(Layer):
         self.stride, self.pad = int(stride), int(pad)
         fan_in = self.in_ch * self.kh * self.kw
         bound = 1.0 / np.sqrt(fan_in)
-        self.weight = rng.uniform(-bound, bound,
-                                  (self.out_ch, self.in_ch, self.kh, self.kw)).astype(dtype)
+        self.weight = _draw(rng.random, -bound, 2 * bound,
+                            (self.out_ch, self.in_ch, self.kh, self.kw), dtype)
         self.bias = np.zeros(self.out_ch, dtype=dtype)
-        self.gweight = np.zeros_like(self.weight)
-        self.gbias = np.zeros_like(self.bias)
+        self.gweight = np.zeros(self.weight.shape, self.weight.dtype)
+        self.gbias = np.zeros(self.bias.shape, self.bias.dtype)
         self.name = name
         self._cache = None
 
@@ -377,16 +403,16 @@ class _KanLayer(Layer):
         b = spec.basis_count
         shape = (out_ch, in_ch) + kernel
         bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
-        self.w_base = rng.uniform(-bound, bound, shape).astype(dtype)
+        self.w_base = _draw(rng.random, -bound, 2 * bound, shape, dtype)
         self.w_spline = np.ones(shape, dtype=dtype)
-        self.coeffs = rng.normal(0.0, 0.1 / np.sqrt(b), shape + (b,)).astype(dtype)
+        self.coeffs = _draw(rng.standard_normal, 0.0, 0.1 / np.sqrt(b), shape + (b,), dtype)
         self.shift = np.zeros(shape, dtype=dtype)
         self.bias = np.zeros(out_ch, dtype=dtype)
-        self.g_w_base = np.zeros_like(self.w_base)
-        self.g_w_spline = np.zeros_like(self.w_spline)
-        self.g_coeffs = np.zeros_like(self.coeffs)
-        self.g_shift = np.zeros_like(self.shift)
-        self.g_bias = np.zeros_like(self.bias)
+        self.g_w_base = np.zeros(self.w_base.shape, self.w_base.dtype)
+        self.g_w_spline = np.zeros(self.w_spline.shape, self.w_spline.dtype)
+        self.g_coeffs = np.zeros(self.coeffs.shape, self.coeffs.dtype)
+        self.g_shift = np.zeros(self.shift.shape, self.shift.dtype)
+        self.g_bias = np.zeros(self.bias.shape, self.bias.dtype)
         self.channel_mask = np.ones(out_ch, dtype=bool)
         self._cache = None
 

@@ -212,6 +212,22 @@ class TestLinearAndKanLinear:
         assert Linear(7, 5, rng=rng).mac_count((7,)) == 35
         assert KanLinear(7, 5, spec=spec, rng=rng).mac_count((7,)) == 35 * 6
 
+    def test_init_draws_match_one_shot_draws(self):
+        # chunked init draws equal one uniform/normal call plus the cast,
+        # across several chunks and for the draws that follow
+        spec = rbf_spec(4)
+        shape = (70, 1000)
+        rng = np.random.default_rng(11)
+        lin = Linear(1000, 70, rng=np.random.default_rng(11))
+        kan = KanLinear(1000, 70, spec=spec, rng=np.random.default_rng(11))
+        bound = 1.0 / np.sqrt(1000)
+        want = rng.uniform(-bound, bound, shape).astype(np.float32)
+        assert lin.weight.tobytes() == want.tobytes()
+        assert kan.w_base.reshape(shape).tobytes() == want.tobytes()
+        b = spec.basis_count
+        want = rng.normal(0.0, 0.1 / np.sqrt(b), shape + (b,)).astype(np.float32)
+        assert kan.coeffs.reshape(shape + (b,)).tobytes() == want.tobytes()
+
 
 class TestMaxPool:
     def test_matches_naive(self, rng):
