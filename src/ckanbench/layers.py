@@ -1,9 +1,10 @@
 """Layers with explicit forward/backward passes.
 
 Every layer follows the same protocol: ``forward(x, training=True)``
-caches what backward needs, ``backward(dout)`` accumulates parameter
-gradients and returns the input gradient.  Calling backward without a
-cached training forward raises ``StateError``.
+caches what backward needs, ``backward(dout, input_grad=True)``
+accumulates parameter gradients and returns the input gradient, or None
+from a parametric layer called with ``input_grad=False``.  Calling
+backward without a cached training forward raises ``StateError``.
 
 Spline-kernel (KAN) layers replace each scalar weight of the classical
 layer with a learnable scalar function
@@ -15,10 +16,15 @@ weight w_b, the spline gain w_s, and the shift t).  By that identity a
 KAN convolution is a classical one over the C*(B+1)-channel map
 [act(x), basis_1(x), ..., basis_B(x)] with the folded weights
 [w_b, w_s * c] and the shifts summed into the bias.  The input is
-zero-padded and then expanded once per pixel; im2col and one GEMM do the
-rest.  Training caches the expanded map and its per-pixel derivative,
-and backward rebuilds the columns from them.  ``KanLinear`` is the 1x1
-case of the same path.
+zero-padded and then expanded once per pixel; the classical convolution
+does the rest.  ``KanLinear`` is the 1x1 case of the same path.
+
+Every convolution, classical or spline-kernel, runs on its zero-padded
+input in blocks of samples: per block, im2col and one GEMM, with the
+block sized so that its columns (``BLOCK_BYTES``, about an L2 cache)
+stay in cache.  Training caches the padded input (for a KAN layer, the
+expanded map and its per-pixel derivative), never the columns; backward
+rebuilds each block's columns from it.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -84,7 +90,10 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True):
+        """Accumulate parameter gradients and return the input gradient;
+        with ``input_grad=False`` a parametric layer skips that work and
+        returns None (stateless layers ignore the flag)."""
         raise NotImplementedError
 
     def params(self) -> list[tuple[str, np.ndarray]]:
@@ -129,7 +138,7 @@ class Activation(Layer):
             self._x = x
         return self.fn(x)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         x = self._need_cache(self._x)
         return dout * self.grad_fn(x)
 
@@ -147,7 +156,7 @@ class Flatten(Layer):
             self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         shape = self._need_cache(self._shape)
         return dout.reshape(shape)
 
@@ -168,7 +177,7 @@ class Reshape(Layer):
             self._in_shape = x.shape
         return x.reshape((x.shape[0],) + self.shape)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         shape = self._need_cache(self._in_shape)
         return dout.reshape(shape)
 
@@ -216,7 +225,7 @@ class MaxPool2D(Layer):
             self._cache = (x.shape, idx)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         (n, c, h, w), idx = self._need_cache(self._cache)
         ho, wo = self._out_hw(h, w)
         s = self.stride
@@ -257,11 +266,11 @@ class Linear(Layer):
             self._x = x
         return x @ self.weight.T + self.bias
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         x = self._need_cache(self._x)
         self.gweight += dout.T @ x
         self.gbias += dout.sum(axis=0)
-        return dout @ self.weight
+        return dout @ self.weight if input_grad else None
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -281,41 +290,82 @@ class Linear(Layer):
         return (self.out_features,)
 
 
-def _conv_gemm(x, w2, bias, kh, kw, stride, pad):
-    """Classical convolution as im2col plus one GEMM.
-
-    [N, C, H, W] with weight [O, C*kh*kw] -> ([N, O, Ho, Wo] output,
-    [C*kh*kw, N, Ho*Wo] columns).
-    """
-    n, _, h, w = x.shape
-    ho, wo = T.conv_output_hw(h, w, kh, kw, stride, pad)
-    cols = T.im2col_batch(x, kh, kw, stride, pad)
-    out = w2 @ cols.reshape(cols.shape[0], -1)
-    out += bias[:, None]
-    out = out.reshape(-1, n, ho * wo).transpose(1, 0, 2)
-    return np.ascontiguousarray(out).reshape(n, -1, ho, wo), cols
+# Bytes of im2col columns one block of samples fills, about one core's L2
+# cache.  Blocking keeps the whole batch's columns from ever being held at
+# once; 1 to 16 MiB measured alike, so this bounds memory more than it
+# tunes speed.
+BLOCK_BYTES = 4 << 20
 
 
-def _gemm_backward(g, w2, cols, x_shape, kh, kw, stride, pad):
-    """Backward of ``_conv_gemm`` from its output gradient ``g`` in
-    ``_gemm_rows`` layout: returns the weight gradient [O, C*kh*kw] and
-    the input gradient of shape ``x_shape``.
-
-    The columns are dropped before the input-gradient columns are
-    allocated, so a caller that passes ``cols`` inline never holds both.
-    """
-    cols_shape = cols.shape
-    gw = g @ cols.reshape(cols_shape[0], -1).T
-    del cols
-    dcols = (w2.T @ g).reshape(cols_shape)
-    return gw, T.col2im_batch(dcols, x_shape, kh, kw, stride, pad)
+def _pad_input(x, kh, kw, stride, pad):
+    """Zero-pad [N, C, H, W] by ``pad`` on both spatial axes, after
+    checking the convolution geometry (so np.pad never sees a bad one)."""
+    h, w = x.shape[2:]
+    T.conv_output_hw(h, w, kh, kw, stride, pad)
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
 
 
-def _gemm_rows(dout):
-    """[N, O, Ho, Wo] -> [O, N*Ho*Wo], the layout of a conv GEMM's output."""
-    n, o = dout.shape[:2]
-    g = dout.reshape(n, o, -1).transpose(1, 0, 2)
-    return np.ascontiguousarray(g).reshape(o, -1)
+def _crop(dxp, pad):
+    """Gradient of ``_pad_input``: drop the padded border (None passes)."""
+    if dxp is None:
+        return None
+    h, w = dxp.shape[2:]
+    return dxp[:, :, pad:h - pad, pad:w - pad]
+
+
+def _conv_blocks(xp, kh, kw, stride, dtype=None):
+    """Yield (start, stop, columns) per block of samples of the padded
+    input ``xp``; the columns are [C*kh*kw, stop - start, Ho*Wo] and a
+    block holds as many samples as fit in ``BLOCK_BYTES`` (at least one).
+    Every block's columns are written into one buffer, so they are valid
+    only until the next block is yielded."""
+    n, c, h, w = xp.shape
+    ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
+    rows, per = c * kh * kw, ho * wo
+    dtype = xp.dtype if dtype is None else np.dtype(dtype)
+    step = max(1, BLOCK_BYTES // (rows * per * dtype.itemsize))
+    buf = np.empty(rows * min(step, n) * per, dtype=dtype)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        cols = buf[:rows * (e - s) * per].reshape(rows, e - s, per)
+        yield s, e, T.im2col_batch(xp[s:e], kh, kw, stride, out=cols)
+
+
+def _conv_forward(xp, w2, bias, kh, kw, stride):
+    """Valid convolution of the padded input ``xp`` [N, C, H, W] with the
+    weight ``w2`` [O, C*kh*kw]: im2col and one GEMM per block of samples,
+    written into the [N, O, Ho, Wo] output."""
+    n, _, h, w = xp.shape
+    o = w2.shape[0]
+    ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
+    out = np.empty((n, o, ho, wo), dtype=np.result_type(xp, w2))
+    for s, e, cols in _conv_blocks(xp, kh, kw, stride):
+        ob = w2 @ cols.reshape(cols.shape[0], -1)
+        ob += bias[:, None]
+        out[s:e] = ob.reshape(o, e - s, ho, wo).transpose(1, 0, 2, 3)
+    return out
+
+
+def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
+    """Backward of ``_conv_forward`` from its output gradient ``dout``:
+    returns the weight gradient [O, C*kh*kw], the bias gradient [O] and,
+    with ``input_grad``, the gradient of ``xp`` (else None).  Each block
+    rebuilds its columns from ``xp``; its input-gradient columns then
+    overwrite them in the same buffer."""
+    o = dout.shape[1]
+    dtype = np.result_type(dout, xp, w2)
+    gw = np.zeros(w2.shape, dtype=dtype)
+    gb = np.zeros(o, dtype=dtype)
+    dxp = np.empty(xp.shape, dtype=dtype) if input_grad else None
+    for s, e, cols in _conv_blocks(xp, kh, kw, stride, dtype):
+        g = dout[s:e].reshape(e - s, o, -1).transpose(1, 0, 2).reshape(o, -1)
+        cols2 = cols.reshape(cols.shape[0], -1)
+        gw += g @ cols2.T
+        gb += g.sum(axis=1)
+        if input_grad:
+            np.matmul(w2.T, g, out=cols2)
+            dxp[s:e] = T.col2im_batch(cols, (e - s,) + xp.shape[1:], kh, kw, stride)
+    return gw, gb, dxp
 
 
 class Conv2D(Layer):
@@ -341,20 +391,20 @@ class Conv2D(Layer):
         _, c, _, _ = x.shape
         if c != self.in_ch:
             raise DimensionError(f"{self.name or 'conv'}: expected {self.in_ch} channels, got {c}")
-        out, cols = _conv_gemm(x, self.weight.reshape(self.out_ch, -1), self.bias,
-                               self.kh, self.kw, self.stride, self.pad)
+        xp = _pad_input(x, self.kh, self.kw, self.stride, self.pad)
+        out = _conv_forward(xp, self.weight.reshape(self.out_ch, -1), self.bias,
+                            self.kh, self.kw, self.stride)
         if training:
-            self._cache = (x.shape, cols)
+            self._cache = xp
         return out
 
-    def backward(self, dout):
-        x_shape, cols = self._need_cache(self._cache)
-        g2 = _gemm_rows(dout)
-        gw, dx = _gemm_backward(g2, self.weight.reshape(self.out_ch, -1), cols,
-                                x_shape, self.kh, self.kw, self.stride, self.pad)
+    def backward(self, dout, input_grad=True):
+        xp = self._need_cache(self._cache)
+        gw, gb, dxp = _conv_backward(dout, xp, self.weight.reshape(self.out_ch, -1),
+                                     self.kh, self.kw, self.stride, input_grad)
         self.gweight += gw.reshape(self.weight.shape)
-        self.gbias += g2.sum(axis=1)
-        return dx
+        self.gbias += gb
+        return _crop(dxp, self.pad)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -444,35 +494,28 @@ class _KanLayer(Layer):
         return w.reshape(o, -1), self.shift.reshape(o, -1).sum(axis=1) + self.bias
 
     def _forward4(self, x, training):
-        h, w = x.shape[2:]
-        # rejects a bad geometry before np.pad sees it
-        T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
         # pad before expanding, so padded taps read phi(0) rather than 0
-        if self.pad:
-            p = self.pad
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        emap, dmap = self._expand(x, training)
+        xp = _pad_input(x, self.kh, self.kw, self.stride, self.pad)
+        emap, dmap = self._expand(xp, training)
         w2, bias = self._folded()
-        out = _conv_gemm(emap, w2, bias, self.kh, self.kw, self.stride, 0)[0]
+        out = _conv_forward(emap, w2, bias, self.kh, self.kw, self.stride)
         out[:, ~self.channel_mask] = 0.0
         if training:
             self._cache = (emap, dmap)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         emap, dmap = self._need_cache(self._cache)
-        g = np.where(self.channel_mask[:, None], _gemm_rows(dout), 0)
-        # the columns are rebuilt from the cached map rather than cached:
-        # they are kh*kw times its size.  Passed inline, the helper holds
-        # the only reference and frees them before it allocates dcols.
-        gw, demap = _gemm_backward(
-            g, self._folded()[0],
-            T.im2col_batch(emap, self.kh, self.kw, self.stride), emap.shape, self.kh, self.kw, self.stride, 0)
-        self._accumulate(gw, g.sum(axis=1))
+        if not self.channel_mask.all():
+            dout = np.where(self.channel_mask[:, None, None], dout, 0)
+        gw, gb, demap = _conv_backward(dout, emap, self._folded()[0], self.kh,
+                                       self.kw, self.stride, input_grad)
+        self._accumulate(gw, gb)
+        if not input_grad:
+            return None
         n, _, h, w = emap.shape
         dx = (demap.reshape(dmap.shape) * dmap).sum(axis=1).reshape(n, -1, h, w)
-        p = self.pad
-        return dx[:, :, p:h - p, p:w - p] if p else dx
+        return _crop(dx, self.pad)
 
     def _accumulate(self, gw, gsum) -> None:
         """Unfold a gradient of the folded weight and bias into the edge
@@ -569,8 +612,9 @@ class KanLinear(_KanLayer):
             raise DimensionError(f"{self.name or 'kanlinear'}: expected [N,{self.in_features}], got {x.shape}")
         return self._forward4(x[:, :, None, None], training)[:, :, 0, 0]
 
-    def backward(self, dout):
-        return super().backward(dout[:, :, None, None])[:, :, 0, 0]
+    def backward(self, dout, input_grad=True):
+        dx = super().backward(dout[:, :, None, None], input_grad=input_grad)
+        return None if dx is None else dx[:, :, 0, 0]
 
     def mac_count(self, in_shape):
         return (self.in_features * self.active_channels()
@@ -596,10 +640,10 @@ class _Length1D(Layer):
             x = np.pad(x, ((0, 0), (0, 0), (p, p)))
         return super().forward(x[:, :, None, :], training=training)[:, :, 0, :]
 
-    def backward(self, dout):
-        dx = super().backward(dout[:, :, None, :])[:, :, 0, :]
+    def backward(self, dout, input_grad=True):
+        dx = super().backward(dout[:, :, None, :], input_grad=input_grad)
         p = self.length_pad
-        return dx[:, :, p:dx.shape[2] - p] if p else dx
+        return None if dx is None else dx[:, :, 0, p:dx.shape[3] - p]
 
     def _shape2d(self, in_shape):
         c, length = in_shape
@@ -647,7 +691,7 @@ class GlobalAvgPool1D(Layer):
             self._len = x.shape[2]
         return x.mean(axis=2)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         length = self._need_cache(self._len)
         return np.repeat(dout[:, :, None], length, axis=2) / length
 

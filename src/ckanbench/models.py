@@ -58,10 +58,12 @@ class ModelGraph:
             x = lyr.forward(x, training=training)
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for lyr in reversed(self.layers):
+    def backward(self, dout: np.ndarray) -> None:
+        """Accumulate every parameter gradient.  The first layer's input
+        gradient is never read, so it is not computed."""
+        for lyr in self.layers[:0:-1]:
             dout = lyr.backward(dout)
-        return dout
+        self.layers[0].backward(dout, input_grad=False)
 
     def zero_grads(self) -> None:
         for lyr in self.layers:

@@ -7,10 +7,11 @@ trains the spline-kernel model from the same seed, optionally prunes and
 fine-tunes, then records validation loss/accuracy, parameter count,
 per-sample MACs, median forward latency, and wall time.
 
-A diverged cell (non-finite loss) is recorded with status ``failed`` and
-does not abort the sweep.  With worker processes, latency profiling is
-serialised behind a lock so timings never overlap; reports are always
-merged in grid order.
+A diverged cell (non-finite loss) or one that raises is recorded with
+status ``failed`` and does not abort the sweep; ``summary.json`` lists
+each failed cell's index and reason under ``failures``.  With worker
+processes, latency profiling is serialised behind a lock so timings
+never overlap; reports are always merged in grid order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import json
 import math
 import multiprocessing as mp
 import os
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -163,6 +166,7 @@ class CellResult:
     macs: int | None = None
     latency_ms: float | None = None
     wall_s: float = 0.0
+    reason: str | None = None
 
 
 def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
@@ -177,6 +181,7 @@ def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
                  seed=cfg.seed, verbose=verbose)
     if fitres.report.status != "ok":
         result.status = "failed"
+        result.reason = "training diverged: non-finite loss"
         result.wall_s = time.perf_counter() - t0
         return result
     model.load_state(fitres.best_state)
@@ -188,6 +193,7 @@ def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
                              seed=cfg.seed + 1, verbose=verbose)
         if ft.report.status != "ok":
             result.status = "failed"
+            result.reason = "fine-tuning diverged: non-finite loss"
             result.wall_s = time.perf_counter() - t0
             return result
         model.load_state(ft.best_state)
@@ -208,6 +214,21 @@ def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
     return result
 
 
+def _run_cell_isolated(cell: SweepCell, cfg: SweepConfig, train: Dataset,
+                       val: Dataset, profile_lock=None,
+                       verbose: bool = False) -> CellResult:
+    """``run_cell``, with an exception turned into a failed cell that
+    names it, so one crashing cell never loses the others' reports."""
+    t0 = time.perf_counter()
+    try:
+        return run_cell(cell, cfg, train, val, profile_lock, verbose)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        return CellResult(cell=cell, status="failed",
+                          reason=f"{type(exc).__name__}: {exc}",
+                          wall_s=time.perf_counter() - t0)
+
+
 _WORKER: dict = {}
 
 
@@ -219,8 +240,8 @@ def _init_worker(cfg, train, val, lock):
 
 
 def _run_cell_in_worker(cell: SweepCell) -> CellResult:
-    return run_cell(cell, _WORKER["cfg"], _WORKER["train"], _WORKER["val"],
-                    profile_lock=_WORKER["lock"])
+    return _run_cell_isolated(cell, _WORKER["cfg"], _WORKER["train"],
+                              _WORKER["val"], profile_lock=_WORKER["lock"])
 
 
 def run_sweep(cfg: SweepConfig, train: Dataset, val: Dataset, out_dir: str,
@@ -234,7 +255,7 @@ def run_sweep(cfg: SweepConfig, train: Dataset, val: Dataset, out_dir: str,
     if workers <= 1:
         results = []
         for cell in cells:
-            res = run_cell(cell, cfg, train, val, verbose=verbose)
+            res = _run_cell_isolated(cell, cfg, train, val, verbose=verbose)
             if verbose:
                 print(f"cell {cell.index}: g={cell.g} w={cell.w} "
                       f"relu={'on' if cell.relu else 'off'} p={cell.p} "
@@ -321,6 +342,8 @@ def emit_reports(results: list[CellResult], out_dir: str) -> None:
         "n_cells": len(results),
         "n_ok": len(ok),
         "n_failed": len(results) - len(ok),
+        "failures": [{"index": r.cell.index, "reason": r.reason}
+                     for r in results if r.status != "ok"],
     }
     if ok:
         best = max(ok, key=lambda r: (r.val_acc, -r.cell.index))

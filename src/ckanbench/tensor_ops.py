@@ -3,8 +3,9 @@
 Arrays are plain numpy ndarrays in C (row-major) order.  Training runs in
 float32 by default; verification (finite-difference) runs use float64.
 Every convolution, classical or spline-kernel, is im2col + one matrix
-multiply; a spline-kernel layer first expands its input into a per-pixel
-basis map and runs that path on the map.  col2im is the exact adjoint of
+multiply per block of samples (the layers size the blocks); a
+spline-kernel layer first expands its input into a per-pixel basis map
+and runs that path on the map.  col2im is the exact adjoint of
 im2col, so gradient checks close to machine precision.
 """
 
@@ -34,13 +35,15 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int,
     return (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
 
-def im2col_batch(x: np.ndarray, kh: int, kw: int,
-                 stride: int = 1, pad: int = 0) -> np.ndarray:
+def im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int = 1,
+                 pad: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Gather conv receptive fields from [N,C,H,W] into [C*kh*kw, N, Ho*Wo].
 
     Row index runs over (c, ki, kj) in row-major order; the last axis runs
     over output positions in row-major (i, j) order.  Zero padding is
-    materialised, so padded taps read exactly 0.
+    materialised, so padded taps read exactly 0.  ``out``, a C-contiguous
+    array of the result's shape, receives the columns in place of a new
+    array (reusing one buffer spares the page faults of a fresh one).
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -58,7 +61,14 @@ def im2col_batch(x: np.ndarray, kh: int, kw: int,
         strides=(sc, sh, sw, sn, stride * sh, stride * sw),
         writeable=False,
     )
-    return win.reshape(c * kh * kw, n, ho * wo)
+    if out is None:
+        return win.reshape(c * kh * kw, n, ho * wo)
+    if out.shape != (c * kh * kw, n, ho * wo) or not out.flags.c_contiguous:
+        raise DimensionError(
+            f"im2col_batch out must be C-contiguous {(c * kh * kw, n, ho * wo)}, "
+            f"got {out.shape}")
+    np.copyto(out.reshape(win.shape), win)
+    return out
 
 
 def col2im_batch(cols: np.ndarray, input_shape: tuple[int, int, int, int],

@@ -3,6 +3,7 @@ and the synthetic generators."""
 
 import gzip
 import importlib.util
+import io
 import os
 
 import numpy as np
@@ -110,25 +111,91 @@ class TestMnistLoading:
 
     def test_fetch_script_checks_present_files(self, tmp_path, rng, capsys):
         # every file is already present, so fetch_one downloads nothing
-        spec = importlib.util.spec_from_file_location(
-            "fetch_mnist", os.path.join(REPO_ROOT, "scripts", "fetch_mnist.py"))
-        fetch = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fetch)
-        for split, n in (("train", 5), ("test", 3)):
-            img_name, lbl_name = MNIST_FILES[split]
-            write_idx_images(str(tmp_path / img_name),
-                             rng.integers(0, 256, (n, 28, 28), dtype=np.uint8))
-            write_idx_labels(str(tmp_path / lbl_name),
-                             rng.integers(0, 10, n, dtype=np.uint8))
-            for name in (img_name, lbl_name):
-                raw = tmp_path / name
-                with gzip.open(str(raw) + ".gz", "wb") as out:
-                    out.write(raw.read_bytes())
-                raw.unlink()
+        fetch = _load_fetch_script()
+        _write_gz_corpus(tmp_path, rng)
         assert fetch.main(["--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "ok: train-images-idx3-ubyte -> shape (5, 28, 28)" in out
         assert "ok: t10k-labels-idx1-ubyte -> shape (3,)" in out
+
+    def test_fetch_script_replaces_corrupt_files(self, tmp_path, rng,
+                                                 monkeypatch, capsys):
+        import urllib.error
+        import urllib.request
+
+        fetch = _load_fetch_script()
+        good = _write_gz_corpus(tmp_path, rng)
+        lbl = MNIST_FILES["test"][1] + ".gz"
+        # a truncated payload that still decompresses: the FormatError case
+        (tmp_path / lbl).write_bytes(gzip.compress(
+            gzip.decompress(good[lbl])[:-1]))
+        served = []
+
+        def urlopen(url, timeout):
+            served.append(url)
+            name = url.rsplit("/", 1)[1]
+            if len(served) == 1:
+                return io.BytesIO(good[name][:-8])  # first mirror: cut short
+            if len(served) == 2:
+                raise urllib.error.URLError("mirror down")
+            return io.BytesIO(good[name])
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        assert fetch.main(["--out", str(tmp_path)]) == 0
+        assert [u.rsplit("/", 1)[1] for u in served] == [lbl] * 3
+        assert (tmp_path / lbl).read_bytes() == good[lbl]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(good)
+        assert "ok: t10k-labels-idx1-ubyte -> shape (3,)" in \
+            capsys.readouterr().out
+        # the repaired directory is now complete: nothing is fetched again
+        assert fetch.main(["--out", str(tmp_path)]) == 0
+        assert len(served) == 3
+
+    def test_fetch_script_keeps_no_corrupt_download(self, tmp_path, rng,
+                                                    monkeypatch):
+        import urllib.request
+
+        fetch = _load_fetch_script()
+        good = _write_gz_corpus(tmp_path, rng)
+        lbl = MNIST_FILES["test"][1] + ".gz"
+        (tmp_path / lbl).unlink()
+
+        def urlopen(url, timeout):
+            # every mirror serves a download cut short
+            return io.BytesIO(good[url.rsplit("/", 1)[1]][:-8])
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(SystemExit, match="all mirrors failed"):
+            fetch.main(["--out", str(tmp_path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(set(good) - {lbl})
+
+
+def _load_fetch_script():
+    spec = importlib.util.spec_from_file_location(
+        "fetch_mnist", os.path.join(REPO_ROOT, "scripts", "fetch_mnist.py"))
+    fetch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fetch)
+    return fetch
+
+
+def _write_gz_corpus(tmp_path, rng) -> dict[str, bytes]:
+    """Gzipped IDX files under the MNIST names (5 train, 3 test samples);
+    returns each file's bytes by name."""
+    blobs = {}
+    for split, n in (("train", 5), ("test", 3)):
+        img_name, lbl_name = MNIST_FILES[split]
+        write_idx_images(str(tmp_path / img_name),
+                         rng.integers(0, 256, (n, 28, 28), dtype=np.uint8))
+        write_idx_labels(str(tmp_path / lbl_name),
+                         rng.integers(0, 10, n, dtype=np.uint8))
+        for name in (img_name, lbl_name):
+            raw = tmp_path / name
+            with gzip.open(str(raw) + ".gz", "wb") as out:
+                out.write(raw.read_bytes())
+            raw.unlink()
+            blobs[name + ".gz"] = (tmp_path / (name + ".gz")).read_bytes()
+    return blobs
 
 
 class TestTabularCsv:

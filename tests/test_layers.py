@@ -336,3 +336,97 @@ class TestShapesAndWrappers:
         dx = lyr.backward(np.ones((2, 3)))
         np.testing.assert_allclose(dx, np.full_like(x, 1.0 / 8))
         assert lyr.mac_count((3, 8)) == 0
+
+
+def _masked_kan(spec, rng):
+    lyr = KanConv2D(2, 3, 3, stride=2, pad=1, spec=spec, rng=rng,
+                    dtype=np.float64)
+    lyr.channel_mask[1] = False
+    return lyr
+
+
+# every convolution code path, in float64, with its per-sample input shape
+BLOCKED_CASES = {
+    "conv2d": (lambda g: Conv2D(2, 3, 3, stride=2, pad=1, rng=g,
+                                dtype=np.float64), (2, 6, 7)),
+    "kanconv2d-rbf": (lambda g: _masked_kan(rbf_spec(4), g), (2, 6, 7)),
+    "kanconv2d-bspline": (lambda g: _masked_kan(bspline_spec(5, 3), g),
+                          (2, 6, 7)),
+    "kanconv1d": (lambda g: KanConv1D(2, 3, 5, stride=2, pad=2,
+                                      spec=rbf_spec(3), rng=g,
+                                      dtype=np.float64), (2, 11)),
+}
+
+
+def _float64_column_bytes(lyr, in_shape):
+    """Bytes of one sample's float64 im2col columns in the layer."""
+    rows = lyr.in_ch * lyr.kh * lyr.kw
+    if isinstance(lyr, KanConv2D):
+        rows *= lyr.spec.basis_count + 1
+    return rows * int(np.prod(lyr.output_shape(in_shape)[1:])) * 8
+
+
+def _pass(lyr, x, dout):
+    out = lyr.forward(x, training=True)
+    lyr.zero_grads()
+    dx = lyr.backward(dout)
+    return [out, dx] + [g.copy() for _, g in lyr.grads()]
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_blocks_match_one_block(self, case, rng, monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        make, in_shape = BLOCKED_CASES[case]
+        lyr = make(rng)
+        x = 0.5 * rng.standard_normal((7,) + in_shape)
+        dout = rng.standard_normal((7,) + lyr.output_shape(in_shape))
+        monkeypatch.setattr(layers_mod, "BLOCK_BYTES", 1 << 40)
+        whole = _pass(lyr, x, dout)
+
+        seen = []
+        im2col = T.im2col_batch
+
+        def spy(xb, *args, **kw):
+            seen.append(xb.shape[0])
+            return im2col(xb, *args, **kw)
+
+        monkeypatch.setattr(T, "im2col_batch", spy)
+        monkeypatch.setattr(layers_mod, "BLOCK_BYTES",
+                            3 * _float64_column_bytes(lyr, in_shape))
+        blocked = _pass(lyr, x, dout)
+        # forward, then backward: each splits the batch of 7 as 3 + 3 + 1
+        assert seen == [3, 3, 1, 3, 3, 1]
+        for got, want in zip(blocked, whole):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestInputGradFlag:
+    @pytest.mark.parametrize("make, in_shape", [
+        (lambda g: Linear(5, 4, rng=g, dtype=np.float64), (5,)),
+        (lambda g: Conv2D(2, 3, 3, stride=2, pad=1, rng=g,
+                          dtype=np.float64), (2, 6, 7)),
+        (lambda g: Conv1D(2, 3, 5, stride=2, pad=2, rng=g,
+                          dtype=np.float64), (2, 11)),
+        (lambda g: KanConv2D(2, 3, 3, stride=2, pad=1, spec=rbf_spec(4),
+                             rng=g, dtype=np.float64), (2, 6, 7)),
+        (lambda g: KanConv1D(2, 3, 3, pad=1, spec=bspline_spec(5, 3),
+                             rng=g, dtype=np.float64), (2, 9)),
+        (lambda g: KanLinear(6, 4, spec=rbf_spec(4), rng=g,
+                             dtype=np.float64), (6,)),
+    ], ids=["linear", "conv2d", "conv1d", "kanconv2d", "kanconv1d",
+            "kanlinear"])
+    def test_skipping_input_grad_keeps_param_grads(self, make, in_shape,
+                                                   rng):
+        lyr = make(rng)
+        x = 0.5 * rng.standard_normal((3,) + in_shape)
+        out = lyr.forward(x, training=True)
+        dout = rng.standard_normal(out.shape)
+        lyr.zero_grads()
+        assert lyr.backward(dout).shape == x.shape
+        want = [g.copy() for _, g in lyr.grads()]
+        lyr.zero_grads()
+        assert lyr.backward(dout, input_grad=False) is None
+        for (_, got), ref in zip(lyr.grads(), want):
+            np.testing.assert_array_equal(got, ref)

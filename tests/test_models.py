@@ -157,6 +157,26 @@ class TestModelGraph:
         km = build_lenet_kan(spec=rbf_spec(2))
         assert isinstance(km.final_parametric_layer(), KanLinear)
 
+    def test_backward_skips_only_the_unread_input_gradient(self, rng):
+        from ckanbench.training import softmax_cross_entropy
+
+        m = build_lenet_kan_full(spec=rbf_spec(3), seed=2, dtype=np.float64)
+        x = rng.standard_normal((3, 1, 28, 28))
+        _, dout = softmax_cross_entropy(m.forward(x, training=True),
+                                        np.array([1, 4, 7]))
+        m.zero_grads()
+        assert m.backward(dout) is None
+        got = [(n, g.copy()) for n, g in m.named_grads()]
+        m.zero_grads()
+        d = dout
+        for lyr in reversed(m.layers):
+            d = lyr.backward(d)
+        assert d.shape == x.shape
+        want = m.named_grads()
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
     def test_kan_conv_layers_accessor(self):
         assert build_lenet().kan_conv_layers() == []
         km = build_alexnet(kan=True, spec=rbf_spec(2))

@@ -280,3 +280,35 @@ class TestRunSweep:
             # training is deterministic, so counts and losses agree exactly
             assert a.params == b.params and a.macs == b.macs
             assert a.val_loss == pytest.approx(b.val_loss, abs=1e-12)
+
+
+class TestCellFailureIsolation:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_cell_keeps_other_reports(self, tmp_path, monkeypatch,
+                                              workers):
+        import ckanbench.sweep as sweep_mod
+
+        def fake_run_cell(cell, cfg, train, val, profile_lock=None,
+                          verbose=False):
+            if cell.index == 0:
+                raise RuntimeError("cell exploded")
+            return CellResult(cell=cell, val_loss=0.5, val_acc=0.9,
+                              params=10, macs=100, latency_ms=1.0, wall_s=0.1)
+
+        # the fork pool's workers inherit the patched module attribute
+        monkeypatch.setattr(sweep_mod, "run_cell", fake_run_cell)
+        cfg = _tiny_sweep_cfg(grid_sizes=[1], prune_ratios=[0.0, 0.4],
+                              subset=None)
+        out = str(tmp_path / "sweep")
+        # the fake cells never read the data
+        results = run_sweep(cfg, None, None, out, workers=workers)
+        assert [r.status for r in results] == ["failed", "ok"]
+        for name in ("runs.csv", "frontier.csv", "radar.csv", "summary.json"):
+            assert os.path.exists(os.path.join(out, name))
+        rows = load_runs_csv(os.path.join(out, "runs.csv"))
+        assert list(rows[0]) == RUNS_COLUMNS
+        assert [r["status"] for r in rows] == ["failed", "ok"]
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["n_ok"] == 1 and summary["n_failed"] == 1
+        assert summary["failures"] == [
+            {"index": 0, "reason": "RuntimeError: cell exploded"}]
