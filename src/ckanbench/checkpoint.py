@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import ConsistencyError, FormatError
+from .errors import FormatError
 
 MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "params.bin"
@@ -85,16 +85,4 @@ def save_checkpoint(model, dir_path: str) -> None:
 
 
 def load_checkpoint(model, dir_path: str) -> None:
-    state = read_state(dir_path)
-    items = dict(model.state_items())
-    if set(items) != set(state):
-        missing = sorted(set(items) ^ set(state))
-        raise ConsistencyError(f"checkpoint does not match model: {missing}")
-    for name, arr in items.items():
-        src = state[name]
-        if src.shape != arr.shape or src.dtype != arr.dtype:
-            raise ConsistencyError(
-                f"{name}: checkpoint has {src.dtype}{src.shape}, "
-                f"model has {arr.dtype}{arr.shape}"
-            )
-        arr[...] = src
+    model.load_state(read_state(dir_path))

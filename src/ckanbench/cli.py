@@ -89,7 +89,6 @@ def _load_checkpoint_dir(dir_path: str):
 
 
 def cmd_train(args) -> int:
-    model = None
     train, val = _load_train_val(args.model, args)
     if args.model.startswith("tabular"):
         model = _build_from_args(args.model, args,

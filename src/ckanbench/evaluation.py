@@ -221,8 +221,7 @@ def masked_scalar_count(model) -> int:
     total = 0
     for layer in model.kan_conv_layers():
         masked = int((~layer.channel_mask).sum())
-        per_channel = layer.taps * (layer.spec.basis_count + 3) + 1
-        total += masked * per_channel
+        total += masked * layer.channel_param_count()
     return total
 
 

@@ -21,10 +21,10 @@ does the rest.  ``KanLinear`` is the 1x1 case of the same path.
 
 Every convolution, classical or spline-kernel, runs on its zero-padded
 input in blocks of samples: per block, im2col and one GEMM, with the
-block sized so that its columns (``BLOCK_BYTES``, about an L2 cache)
-stay in cache.  Training caches the padded input (for a KAN layer, the
-expanded map and its per-pixel derivative), never the columns; backward
-rebuilds each block's columns from it.
+block's columns capped at ``BLOCK_BYTES``, so the whole batch's columns
+are never held at once.  Training caches the padded input (for a KAN
+layer, the expanded map and its per-pixel derivative), never the
+columns; backward rebuilds each block's columns from it.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -58,34 +58,18 @@ def _act_pair(kind: str):
     return _ACTS[kind]
 
 
-_DRAW_CHUNK = 1 << 16
-
-
-def _draw(fill, loc, scale, shape, dtype):
-    """``(loc + scale * fill()).astype(dtype)`` without the full float64
-    array: ``fill`` (``rng.random`` or ``rng.standard_normal``) writes the
-    float64 draws into a small buffer, one chunk at a time.  The draws,
-    their order and the rounding are those of ``rng.uniform(loc, loc +
-    scale, shape)`` or ``rng.normal(loc, scale, shape)`` followed by the
-    cast, so the result is bit-identical; it only skips the large
-    temporary, which dominates building a big layer such as AlexNet's fc1.
-    """
-    out = np.empty(shape, dtype=dtype)
-    flat = out.reshape(-1)
-    buf = np.empty(min(_DRAW_CHUNK, flat.size))
-    for start in range(0, flat.size, _DRAW_CHUNK):
-        b = buf[:min(_DRAW_CHUNK, flat.size - start)]
-        fill(out=b)
-        b *= scale
-        b += loc
-        flat[start:start + b.size] = b
-    return out
-
-
 class Layer:
-    """Base protocol; stateless layers only override the pass methods."""
+    """Base protocol; stateless layers only override the pass methods.
+
+    A parametric layer names its parameter attributes in ``param_names``
+    and draws them in ``init_params(rng)``, which its constructor calls
+    when given ``rng=``.  Until then it holds no weights, but its counts
+    and output shapes already follow from its geometry.
+    """
 
     name: str = ""
+    param_names: tuple[str, ...] = ()
+    grad: dict | None = None    # gradient buffer per parameter, once drawn
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -96,11 +80,17 @@ class Layer:
         returns None (stateless layers ignore the flag)."""
         raise NotImplementedError
 
+    def init_params(self, rng) -> None:
+        """Draw the parameters from ``rng``.  A parametric layer sets them,
+        then calls this to give each a zeroed gradient buffer."""
+        # np.zeros leaves the pages unmapped until a gradient is written
+        self.grad = {n: np.zeros(p.shape, p.dtype) for n, p in self.params()}
+
     def params(self) -> list[tuple[str, np.ndarray]]:
-        return []
+        return [(n, getattr(self, n)) for n in self.param_names]
 
     def grads(self) -> list[tuple[str, np.ndarray]]:
-        return []
+        return [(n, self.grad[n]) for n in self.param_names]
 
     def state_extra(self) -> list[tuple[str, np.ndarray]]:
         """Non-trainable state that must survive a checkpoint round trip."""
@@ -243,21 +233,24 @@ class MaxPool2D(Layer):
 
 
 class Linear(Layer):
+    param_names = ("weight", "bias")
+
     def __init__(self, in_features: int, out_features: int, rng=None,
                  dtype=T.DEFAULT_DTYPE, name: str = ""):
-        rng = rng or np.random.default_rng()
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        bound = 1.0 / np.sqrt(self.in_features)
-        self.weight = _draw(rng.random, -bound, 2 * bound,
-                            (self.out_features, self.in_features), dtype)
-        self.bias = np.zeros(self.out_features, dtype=dtype)
-        # np.zeros leaves the pages unmapped until a gradient is written;
-        # zeros_like would write every one (the layers below do the same)
-        self.gweight = np.zeros(self.weight.shape, self.weight.dtype)
-        self.gbias = np.zeros(self.bias.shape, self.bias.dtype)
+        self.dtype = np.dtype(dtype)
         self.name = name
         self._x = None
+        if rng is not None:
+            self.init_params(rng)
+
+    def init_params(self, rng):
+        bound = 1.0 / np.sqrt(self.in_features)
+        shape = (self.out_features, self.in_features)
+        self.weight = rng.uniform(-bound, bound, shape).astype(self.dtype)
+        self.bias = np.zeros(self.out_features, dtype=self.dtype)
+        super().init_params(rng)
 
     def forward(self, x, training=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -268,18 +261,12 @@ class Linear(Layer):
 
     def backward(self, dout, input_grad=True):
         x = self._need_cache(self._x)
-        self.gweight += dout.T @ x
-        self.gbias += dout.sum(axis=0)
+        self.grad["weight"] += dout.T @ x
+        self.grad["bias"] += dout.sum(axis=0)
         return dout @ self.weight if input_grad else None
 
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def grads(self):
-        return [("weight", self.gweight), ("bias", self.gbias)]
-
     def param_count(self):
-        return self.weight.size + self.bias.size
+        return self.out_features * (self.in_features + 1)
 
     def mac_count(self, in_shape):
         return self.in_features * self.out_features
@@ -290,10 +277,9 @@ class Linear(Layer):
         return (self.out_features,)
 
 
-# Bytes of im2col columns one block of samples fills, about one core's L2
-# cache.  Blocking keeps the whole batch's columns from ever being held at
-# once; 1 to 16 MiB measured alike, so this bounds memory more than it
-# tunes speed.
+# Bytes of im2col columns one block of samples fills.  Blocking keeps the
+# whole batch's columns from ever being held at once; 1 to 16 MiB measured
+# alike, so this bounds memory more than it tunes speed.
 BLOCK_BYTES = 4 << 20
 
 
@@ -369,23 +355,27 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
 
 
 class Conv2D(Layer):
+    param_names = ("weight", "bias")
+
     def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
                  stride: int = 1, pad: int = 0, rng=None,
                  dtype=T.DEFAULT_DTYPE, name: str = ""):
         kw = kh if kw is None else kw
-        rng = rng or np.random.default_rng()
         self.in_ch, self.out_ch = int(in_ch), int(out_ch)
         self.kh, self.kw = int(kh), int(kw)
         self.stride, self.pad = int(stride), int(pad)
-        fan_in = self.in_ch * self.kh * self.kw
-        bound = 1.0 / np.sqrt(fan_in)
-        self.weight = _draw(rng.random, -bound, 2 * bound,
-                            (self.out_ch, self.in_ch, self.kh, self.kw), dtype)
-        self.bias = np.zeros(self.out_ch, dtype=dtype)
-        self.gweight = np.zeros(self.weight.shape, self.weight.dtype)
-        self.gbias = np.zeros(self.bias.shape, self.bias.dtype)
+        self.dtype = np.dtype(dtype)
         self.name = name
         self._cache = None
+        if rng is not None:
+            self.init_params(rng)
+
+    def init_params(self, rng):
+        bound = 1.0 / np.sqrt(self.in_ch * self.kh * self.kw)
+        shape = (self.out_ch, self.in_ch, self.kh, self.kw)
+        self.weight = rng.uniform(-bound, bound, shape).astype(self.dtype)
+        self.bias = np.zeros(self.out_ch, dtype=self.dtype)
+        super().init_params(rng)
 
     def forward(self, x, training=True):
         _, c, _, _ = x.shape
@@ -402,18 +392,12 @@ class Conv2D(Layer):
         xp = self._need_cache(self._cache)
         gw, gb, dxp = _conv_backward(dout, xp, self.weight.reshape(self.out_ch, -1),
                                      self.kh, self.kw, self.stride, input_grad)
-        self.gweight += gw.reshape(self.weight.shape)
-        self.gbias += gb
+        self.grad["weight"] += gw.reshape(self.weight.shape)
+        self.grad["bias"] += gb
         return _crop(dxp, self.pad)
 
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def grads(self):
-        return [("weight", self.gweight), ("bias", self.gbias)]
-
     def param_count(self):
-        return self.weight.size + self.bias.size
+        return self.out_ch * (self.in_ch * self.kh * self.kw + 1)
 
     def mac_count(self, in_shape):
         c, h, w = in_shape
@@ -441,30 +425,31 @@ class _KanLayer(Layer):
     kw: int
     stride: int
     pad: int
+    param_names = ("coeffs", "w_base", "w_spline", "shift", "bias")
 
     def _init_edges(self, out_ch: int, in_ch: int, kernel: tuple,
                     spec: SplineSpec, base_act: str, rng, dtype) -> None:
-        rng = rng or np.random.default_rng()
         if spec is None:
             raise ConfigError(f"{type(self).__name__} requires a SplineSpec")
         self.spec = spec
         self.base_act = base_act
         self.act_fn, self.act_grad_fn = _act_pair(base_act)
-        b = spec.basis_count
-        shape = (out_ch, in_ch) + kernel
-        bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
-        self.w_base = _draw(rng.random, -bound, 2 * bound, shape, dtype)
-        self.w_spline = np.ones(shape, dtype=dtype)
-        self.coeffs = _draw(rng.standard_normal, 0.0, 0.1 / np.sqrt(b), shape + (b,), dtype)
-        self.shift = np.zeros(shape, dtype=dtype)
-        self.bias = np.zeros(out_ch, dtype=dtype)
-        self.g_w_base = np.zeros(self.w_base.shape, self.w_base.dtype)
-        self.g_w_spline = np.zeros(self.w_spline.shape, self.w_spline.dtype)
-        self.g_coeffs = np.zeros(self.coeffs.shape, self.coeffs.dtype)
-        self.g_shift = np.zeros(self.shift.shape, self.shift.dtype)
-        self.g_bias = np.zeros(self.bias.shape, self.bias.dtype)
+        self.edge_shape = (out_ch, in_ch) + kernel
+        self.dtype = np.dtype(dtype)
         self.channel_mask = np.ones(out_ch, dtype=bool)
         self._cache = None
+        if rng is not None:
+            self.init_params(rng)
+
+    def init_params(self, rng):
+        shape, dtype, b = self.edge_shape, self.dtype, self.spec.basis_count
+        bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
+        self.w_base = rng.uniform(-bound, bound, shape).astype(dtype)
+        self.w_spline = np.ones(shape, dtype=dtype)
+        self.coeffs = rng.normal(0.0, 0.1 / np.sqrt(b), shape + (b,)).astype(dtype)
+        self.shift = np.zeros(shape, dtype=dtype)
+        self.bias = np.zeros(shape[0], dtype=dtype)
+        super().init_params(rng)
 
     def _expand(self, xp, with_deriv: bool):
         """Per-pixel expansion of [N, C, H, W] into the [N, C*(B+1), H, W]
@@ -522,22 +507,13 @@ class _KanLayer(Layer):
         parameter gradients."""
         o, c = self.w_base.shape[:2]
         gw = gw.reshape((o, c, -1) + self.w_base.shape[2:])
-        self.g_w_base += gw[:, :, 0]
+        g = self.grad
+        g["w_base"] += gw[:, :, 0]
         draw = np.moveaxis(gw[:, :, 1:], 2, -1)
-        self.g_coeffs += self.w_spline[..., None] * draw
-        self.g_w_spline += (self.coeffs * draw).sum(axis=-1)
-        self.g_shift += gsum.reshape((o,) + (1,) * (self.shift.ndim - 1))
-        self.g_bias += gsum
-
-    def params(self):
-        return [("coeffs", self.coeffs), ("w_base", self.w_base),
-                ("w_spline", self.w_spline), ("shift", self.shift),
-                ("bias", self.bias)]
-
-    def grads(self):
-        return [("coeffs", self.g_coeffs), ("w_base", self.g_w_base),
-                ("w_spline", self.g_w_spline), ("shift", self.g_shift),
-                ("bias", self.g_bias)]
+        g["coeffs"] += self.w_spline[..., None] * draw
+        g["w_spline"] += (self.coeffs * draw).sum(axis=-1)
+        g["shift"] += gsum.reshape((o,) + (1,) * (self.shift.ndim - 1))
+        g["bias"] += gsum
 
     def state_extra(self):
         return [("channel_mask", self.channel_mask)]
@@ -545,9 +521,13 @@ class _KanLayer(Layer):
     def active_channels(self) -> int:
         return int(self.channel_mask.sum())
 
+    def channel_param_count(self) -> int:
+        """Learnable scalars of one output channel: B + 3 per edge, plus
+        the channel's bias."""
+        return int(np.prod(self.edge_shape[1:])) * (self.spec.basis_count + 3) + 1
+
     def param_count(self):
-        per_out = self.w_base[0].size * (self.spec.basis_count + 3) + 1
-        return self.active_channels() * per_out
+        return self.active_channels() * self.channel_param_count()
 
 
 class KanConv2D(_KanLayer):
@@ -564,10 +544,6 @@ class KanConv2D(_KanLayer):
         self._init_edges(self.out_ch, self.in_ch, (self.kh, self.kw), spec,
                          base_act, rng, dtype)
         self.name = name
-
-    @property
-    def taps(self) -> int:
-        return self.in_ch * self.kh * self.kw
 
     def forward(self, x, training=True):
         _, c, _, _ = x.shape

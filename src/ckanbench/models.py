@@ -2,8 +2,9 @@
 
 A ``ModelGraph`` is an ordered list of layers with enough bookkeeping to
 thread shapes, count parameters and MACs, and snapshot/restore state.
-Builders are deterministic: the same seed yields bit-identical initial
-parameters.
+Builders only lay out the layers; the graph draws their parameters from
+its seed on first use, so the same seed yields bit-identical initial
+parameters and counting never draws them.
 
 Stock architectures:
 
@@ -23,7 +24,6 @@ Stock architectures:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,22 +36,39 @@ ARCH_NAMES = ("lenet", "lenet_kan", "lenet_kan_full", "alexnet",
               "alexnet_kan", "tabular_cnn", "tabular_kan")
 
 
-@dataclass
 class ModelGraph:
-    name: str
-    layers: list
-    input_shape: tuple
-    n_outputs: int
-    output_kind: str = "logits"          # "logits" or "probs"
-    meta: dict = field(default_factory=dict)
+    """Ordered layers plus the shape, count and state bookkeeping.
 
-    def __post_init__(self):
+    Layers may be built without their parameters.  The first access to
+    ``layers`` draws every undrawn one, in layer order, from
+    ``default_rng(seed)``; counts and shapes never draw.
+    """
+
+    def __init__(self, name: str, layers: list, input_shape: tuple,
+                 n_outputs: int, output_kind: str = "logits",
+                 meta: dict | None = None, seed: int = 0):
+        self.name = name
+        self._layers = list(layers)
+        self.input_shape = tuple(input_shape)
+        self.n_outputs = n_outputs
+        self.output_kind = output_kind      # "logits" or "probs"
+        self.meta = {} if meta is None else meta
+        self.seed = seed
         seen = set()
-        for lyr in self.layers:
-            if lyr.params() or lyr.state_extra():
+        for lyr in self._layers:
+            if lyr.param_names or lyr.state_extra():
                 if not lyr.name or lyr.name in seen:
                     raise ConsistencyError(f"layer name {lyr.name!r} missing or duplicated")
                 seen.add(lyr.name)
+
+    @property
+    def layers(self) -> list:
+        undrawn = [lyr for lyr in self._layers if lyr.param_names and lyr.grad is None]
+        if undrawn:
+            rng = np.random.default_rng(self.seed)
+            for lyr in undrawn:
+                lyr.init_params(rng)
+        return self._layers
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         for lyr in self.layers:
@@ -95,32 +112,36 @@ class ModelGraph:
         return {name: arr.copy() for name, arr in self.state_items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameters; its names, shapes and dtypes
+        must be the model's own."""
         items = dict(self.state_items())
         if set(items) != set(state):
             missing = sorted(set(items) ^ set(state))
-            raise ConsistencyError(f"state names do not match the model: {missing}")
+            raise ConsistencyError(f"state does not match the model: {missing}")
         for name, arr in items.items():
             src = np.asarray(state[name])
-            if src.shape != arr.shape:
-                raise ConsistencyError(f"{name}: shape {src.shape} != {arr.shape}")
-            arr[...] = src.astype(arr.dtype, copy=False)
+            if src.shape != arr.shape or src.dtype != arr.dtype:
+                raise ConsistencyError(
+                    f"{name}: state has {src.dtype}{src.shape}, "
+                    f"model has {arr.dtype}{arr.shape}")
+            arr[...] = src
 
     def param_count(self) -> int:
-        return sum(lyr.param_count() for lyr in self.layers)
+        return sum(lyr.param_count() for lyr in self._layers)
 
     def mac_count(self) -> int:
         """Per-sample multiply-accumulate total across all layers."""
         total = 0
-        shape = tuple(self.input_shape)
-        for lyr in self.layers:
+        shape = self.input_shape
+        for lyr in self._layers:
             total += lyr.mac_count(shape)
             shape = lyr.output_shape(shape)
         return total
 
     def layer_shapes(self) -> list[tuple[str, tuple, tuple]]:
         out = []
-        shape = tuple(self.input_shape)
-        for lyr in self.layers:
+        shape = self.input_shape
+        for lyr in self._layers:
             nxt = lyr.output_shape(shape)
             out.append((lyr.name or type(lyr).__name__, shape, nxt))
             shape = nxt
@@ -131,7 +152,7 @@ class ModelGraph:
 
     def final_parametric_layer(self):
         for lyr in reversed(self.layers):
-            if lyr.params():
+            if lyr.param_names:
                 return lyr
         return None
 
@@ -142,27 +163,26 @@ def _act(relu_on: bool) -> str:
 
 def build_lenet(width_mult: float = 1.0, relu_on: bool = True,
                 seed: int = 0, dtype=T.DEFAULT_DTYPE) -> ModelGraph:
-    rng = np.random.default_rng(seed)
     w = float(width_mult)
     c1, c2 = math.ceil(6 * w), math.ceil(16 * w)
     f1, f2 = math.ceil(120 * w), math.ceil(84 * w)
     kind = _act(relu_on)
     lyrs = [
-        L.Conv2D(1, c1, 5, stride=1, pad=2, rng=rng, dtype=dtype, name="conv1"),
+        L.Conv2D(1, c1, 5, stride=1, pad=2, dtype=dtype, name="conv1"),
         L.Activation(kind, name="act1"),
         L.MaxPool2D(2, name="pool1"),
-        L.Conv2D(c1, c2, 5, stride=1, pad=0, rng=rng, dtype=dtype, name="conv2"),
+        L.Conv2D(c1, c2, 5, stride=1, pad=0, dtype=dtype, name="conv2"),
         L.Activation(kind, name="act2"),
         L.MaxPool2D(2, name="pool2"),
         L.Flatten(name="flatten"),
-        L.Linear(c2 * 25, f1, rng=rng, dtype=dtype, name="fc1"),
+        L.Linear(c2 * 25, f1, dtype=dtype, name="fc1"),
         L.Activation(kind, name="act3"),
-        L.Linear(f1, f2, rng=rng, dtype=dtype, name="fc2"),
+        L.Linear(f1, f2, dtype=dtype, name="fc2"),
         L.Activation(kind, name="act4"),
-        L.Linear(f2, 10, rng=rng, dtype=dtype, name="fc3"),
+        L.Linear(f2, 10, dtype=dtype, name="fc3"),
     ]
-    meta = {"arch": "lenet", "width_mult": w, "relu": relu_on, "seed": seed}
-    return ModelGraph("lenet", lyrs, (1, 28, 28), 10, meta=meta)
+    meta = {"arch": "lenet", "width_mult": w, "relu": relu_on}
+    return ModelGraph("lenet", lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
 
 
 def build_lenet_kan(spec: SplineSpec = None, width_mult: float = 1.0,
@@ -170,29 +190,28 @@ def build_lenet_kan(spec: SplineSpec = None, width_mult: float = 1.0,
                     dtype=T.DEFAULT_DTYPE) -> ModelGraph:
     """Quarter-width spline-kernel twin of ``build_lenet``."""
     spec = spec or bspline_spec()
-    rng = np.random.default_rng(seed)
     w = float(width_mult)
     c1 = max(2, math.ceil(6 * w / 4))
     c2 = math.ceil(16 * w / 4)
     f1, f2 = math.ceil(120 * w / 4), math.ceil(84 * w / 4)
     kind = _act(relu_on)
     lyrs = [
-        L.KanConv2D(1, c1, 5, stride=1, pad=2, spec=spec, rng=rng, dtype=dtype, name="kconv1"),
+        L.KanConv2D(1, c1, 5, stride=1, pad=2, spec=spec, dtype=dtype, name="kconv1"),
         L.Activation(kind, name="act1"),
         L.MaxPool2D(2, name="pool1"),
-        L.KanConv2D(c1, c2, 5, stride=1, pad=0, spec=spec, rng=rng, dtype=dtype, name="kconv2"),
+        L.KanConv2D(c1, c2, 5, stride=1, pad=0, spec=spec, dtype=dtype, name="kconv2"),
         L.Activation(kind, name="act2"),
         L.MaxPool2D(2, name="pool2"),
         L.Flatten(name="flatten"),
-        L.KanLinear(c2 * 25, f1, spec=spec, rng=rng, dtype=dtype, name="kfc1"),
+        L.KanLinear(c2 * 25, f1, spec=spec, dtype=dtype, name="kfc1"),
         L.Activation(kind, name="act3"),
-        L.KanLinear(f1, f2, spec=spec, rng=rng, dtype=dtype, name="kfc2"),
+        L.KanLinear(f1, f2, spec=spec, dtype=dtype, name="kfc2"),
         L.Activation(kind, name="act4"),
-        L.KanLinear(f2, 10, spec=spec, rng=rng, dtype=dtype, name="kfc3"),
+        L.KanLinear(f2, 10, spec=spec, dtype=dtype, name="kfc3"),
     ]
-    meta = {"arch": "lenet_kan", "width_mult": w, "relu": relu_on, "seed": seed,
+    meta = {"arch": "lenet_kan", "width_mult": w, "relu": relu_on,
             "spec": spec}
-    return ModelGraph("lenet_kan", lyrs, (1, 28, 28), 10, meta=meta)
+    return ModelGraph("lenet_kan", lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
 
 
 def build_lenet_kan_full(spec: SplineSpec = None, width_mult: float = 1.0,
@@ -205,27 +224,26 @@ def build_lenet_kan_full(spec: SplineSpec = None, width_mult: float = 1.0,
     and unscaled.  This is the configuration the ablation sweep trains.
     """
     spec = spec or bspline_spec()
-    rng = np.random.default_rng(seed)
     w = float(width_mult)
     c1, c2 = math.ceil(6 * w), math.ceil(16 * w)
     kind = _act(relu_on)
     lyrs = [
-        L.KanConv2D(1, c1, 5, stride=1, pad=2, spec=spec, rng=rng, dtype=dtype, name="kconv1"),
+        L.KanConv2D(1, c1, 5, stride=1, pad=2, spec=spec, dtype=dtype, name="kconv1"),
         L.Activation(kind, name="act1"),
         L.MaxPool2D(2, name="pool1"),
-        L.KanConv2D(c1, c2, 5, stride=1, pad=0, spec=spec, rng=rng, dtype=dtype, name="kconv2"),
+        L.KanConv2D(c1, c2, 5, stride=1, pad=0, spec=spec, dtype=dtype, name="kconv2"),
         L.Activation(kind, name="act2"),
         L.MaxPool2D(2, name="pool2"),
         L.Flatten(name="flatten"),
-        L.Linear(c2 * 25, 120, rng=rng, dtype=dtype, name="fc1"),
+        L.Linear(c2 * 25, 120, dtype=dtype, name="fc1"),
         L.Activation(kind, name="act3"),
-        L.Linear(120, 84, rng=rng, dtype=dtype, name="fc2"),
+        L.Linear(120, 84, dtype=dtype, name="fc2"),
         L.Activation(kind, name="act4"),
-        L.Linear(84, 10, rng=rng, dtype=dtype, name="fc3"),
+        L.Linear(84, 10, dtype=dtype, name="fc3"),
     ]
     meta = {"arch": "lenet_kan_full", "width_mult": w, "relu": relu_on,
-            "seed": seed, "spec": spec}
-    return ModelGraph("lenet_kan_full", lyrs, (1, 28, 28), 10, meta=meta)
+            "spec": spec}
+    return ModelGraph("lenet_kan_full", lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
 
 
 _ALEXNET_CONVS = [
@@ -242,7 +260,6 @@ def build_alexnet(kan: bool = False, spec: SplineSpec = None, seed: int = 0,
                   dtype=T.DEFAULT_DTYPE) -> ModelGraph:
     """Canonical 224x224x3 stack; mostly used for counting, not training."""
     spec = spec or bspline_spec()
-    rng = np.random.default_rng(seed)
     div = 4 if kan else 1
     convs = [(math.ceil(c / div), k, s, p) for c, k, s, p in _ALEXNET_CONVS]
     f1 = f2 = math.ceil(4096 / div)
@@ -252,10 +269,10 @@ def build_alexnet(kan: bool = False, spec: SplineSpec = None, seed: int = 0,
     for i, (out_ch, k, s, p) in enumerate(convs):
         if kan:
             lyrs.append(L.KanConv2D(in_ch, out_ch, k, stride=s, pad=p, spec=spec,
-                                    rng=rng, dtype=dtype, name=f"kconv{i + 1}"))
+                                    dtype=dtype, name=f"kconv{i + 1}"))
         else:
             lyrs.append(L.Conv2D(in_ch, out_ch, k, stride=s, pad=p,
-                                 rng=rng, dtype=dtype, name=f"conv{i + 1}"))
+                                 dtype=dtype, name=f"conv{i + 1}"))
         lyrs.append(L.Activation("relu", name=f"act{i + 1}"))
         if i in pool_after:
             lyrs.append(L.MaxPool2D(3, stride=2, name=f"pool{i + 1}"))
@@ -264,25 +281,25 @@ def build_alexnet(kan: bool = False, spec: SplineSpec = None, seed: int = 0,
     flat = in_ch * 6 * 6
     if kan:
         lyrs += [
-            L.KanLinear(flat, f1, spec=spec, rng=rng, dtype=dtype, name="kfc1"),
+            L.KanLinear(flat, f1, spec=spec, dtype=dtype, name="kfc1"),
             L.Activation("relu", name="act6"),
-            L.KanLinear(f1, f2, spec=spec, rng=rng, dtype=dtype, name="kfc2"),
+            L.KanLinear(f1, f2, spec=spec, dtype=dtype, name="kfc2"),
             L.Activation("relu", name="act7"),
-            L.KanLinear(f2, 1000, spec=spec, rng=rng, dtype=dtype, name="kfc3"),
+            L.KanLinear(f2, 1000, spec=spec, dtype=dtype, name="kfc3"),
         ]
     else:
         lyrs += [
-            L.Linear(flat, f1, rng=rng, dtype=dtype, name="fc1"),
+            L.Linear(flat, f1, dtype=dtype, name="fc1"),
             L.Activation("relu", name="act6"),
-            L.Linear(f1, f2, rng=rng, dtype=dtype, name="fc2"),
+            L.Linear(f1, f2, dtype=dtype, name="fc2"),
             L.Activation("relu", name="act7"),
-            L.Linear(f2, 1000, rng=rng, dtype=dtype, name="fc3"),
+            L.Linear(f2, 1000, dtype=dtype, name="fc3"),
         ]
     name = "alexnet_kan" if kan else "alexnet"
-    meta = {"arch": name, "seed": seed}
+    meta = {"arch": name}
     if kan:
         meta["spec"] = spec
-    return ModelGraph(name, lyrs, (3, 224, 224), 1000, meta=meta)
+    return ModelGraph(name, lyrs, (3, 224, 224), 1000, meta=meta, seed=seed)
 
 
 def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
@@ -298,20 +315,19 @@ def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
     if n_features < 1 or n_labels < 1:
         raise ConfigError("n_features and n_labels must be positive")
     spec = spec or bspline_spec()
-    rng = np.random.default_rng(seed)
     div = 4 if kan else 1
     ch0, ch1, ch2 = 256 // div, 512 // div, 256 // div
     lyrs = [
-        L.Linear(n_features, ch0 * 16, rng=rng, dtype=dtype, name="proj"),
+        L.Linear(n_features, ch0 * 16, dtype=dtype, name="proj"),
         L.Activation("relu", name="act0"),
         L.Reshape((ch0, 16), name="reshape"),
     ]
 
     def conv(i, cin, cout):
         if kan:
-            return L.KanConv1D(cin, cout, 5, pad=2, spec=spec, rng=rng,
+            return L.KanConv1D(cin, cout, 5, pad=2, spec=spec,
                                dtype=dtype, name=f"kconv{i}")
-        return L.Conv1D(cin, cout, 5, pad=2, rng=rng, dtype=dtype, name=f"conv{i}")
+        return L.Conv1D(cin, cout, 5, pad=2, dtype=dtype, name=f"conv{i}")
 
     lyrs += [
         conv(1, ch0, ch1), L.Activation("relu", name="act1"),
@@ -320,22 +336,21 @@ def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
         L.MaxPool1D(2, name="pool2"),
         conv(3, ch1, ch2), L.Activation("relu", name="act3"),
         L.GlobalAvgPool1D(name="gap"),
-        L.Linear(ch2, n_labels, rng=rng, dtype=dtype, name="head"),
+        L.Linear(ch2, n_labels, dtype=dtype, name="head"),
         L.Activation("sigmoid", name="out"),
     ]
     name = "tabular_kan" if kan else "tabular_cnn"
-    meta = {"arch": name, "seed": seed, "n_features": n_features,
-            "n_labels": n_labels}
+    meta = {"arch": name, "n_features": n_features, "n_labels": n_labels}
     if kan:
         meta["spec"] = spec
     return ModelGraph(name, lyrs, (n_features,), n_labels,
-                      output_kind="probs", meta=meta)
+                      output_kind="probs", meta=meta, seed=seed)
 
 
 def model_config(model: ModelGraph) -> dict[str, str]:
     """Flat text-serialisable description sufficient to rebuild the graph."""
     meta = model.meta
-    cfg = {"arch": meta["arch"], "seed": str(meta.get("seed", 0))}
+    cfg = {"arch": meta["arch"], "seed": str(model.seed)}
     if "width_mult" in meta:
         cfg["width_mult"] = repr(float(meta["width_mult"]))
         cfg["relu"] = "on" if meta["relu"] else "off"

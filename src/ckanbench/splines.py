@@ -13,8 +13,7 @@ every basis function is defined on the whole real line; the derivative is
 0 in the clamped region.
 
 The block helpers evaluate a rank-3 batch [T, n, P] and return the basis
-axis in position 1 ([T, B, n, P]) so the layer can feed the result to a
-single matrix multiply without transposing.  The public ``basis_eval`` /
+axis in position 1 ([T, B, n, P]).  The public ``basis_eval`` /
 ``basis_deriv`` wrap the same code path, which keeps the layer math and
 any reference computation numerically identical.
 """

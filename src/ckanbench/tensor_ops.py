@@ -17,7 +17,6 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import DimensionError
 
 DEFAULT_DTYPE = np.float32
-VERIFY_DTYPE = np.float64
 
 
 def conv_output_hw(h: int, w: int, kh: int, kw: int,

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,20 @@ class TestCount:
     def test_alexnet_exact(self, capsys):
         assert run_cli("count", "--model", "alexnet") == 0
         assert "params 61100840" in capsys.readouterr().out
+
+    def test_counting_draws_no_weights(self, capsys):
+        # 50 M parameters are counted from shapes alone: the whole command
+        # allocates less than one of its weight tensors would take
+        tracemalloc.start()
+        try:
+            assert run_cli("count", "--model", "alexnet-kan") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert "params 50498968" in out
+        assert "macs 585816800" in out
+        assert peak < 16 * 2**20
 
     def test_kan_full_flags_change_counts(self, capsys):
         run_cli("count", "--model", "lenet-kan-full", "--basis", "rbf",

@@ -165,7 +165,7 @@ class TestChannelMask:
         lyr.backward(np.ones_like(out))
         for _, g in lyr.grads():
             assert np.abs(g[2]).max() == 0.0
-        assert np.abs(lyr.g_coeffs[0]).max() > 0.0
+        assert np.abs(lyr.grad["coeffs"][0]).max() > 0.0
 
     def test_counts_exclude_masked_channels(self, rng):
         spec = rbf_spec(4)
@@ -213,8 +213,8 @@ class TestLinearAndKanLinear:
         assert KanLinear(7, 5, spec=spec, rng=rng).mac_count((7,)) == 35 * 6
 
     def test_init_draws_match_one_shot_draws(self):
-        # chunked init draws equal one uniform/normal call plus the cast,
-        # across several chunks and for the draws that follow
+        # init draws equal one uniform/normal call plus the cast, drawn in
+        # the order w_base, then the spline coefficients
         spec = rbf_spec(4)
         shape = (70, 1000)
         rng = np.random.default_rng(11)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ckanbench.errors import ConfigError, ConsistencyError
-from ckanbench.layers import KanConv2D, KanLinear, Linear
+from ckanbench.layers import (Activation, Conv2D, Flatten, KanConv2D,
+                              KanLinear, Linear, MaxPool2D)
 from ckanbench.models import (ModelGraph, build_alexnet, build_from_config,
                               build_lenet, build_lenet_kan,
                               build_lenet_kan_full, build_tabular_cnn,
@@ -119,6 +120,42 @@ class TestDeterminism:
                                                b.named_params()))
 
 
+def _eager_lenet(conv, rng):
+    """LeNet's parametric layers built in order, each drawn at once from
+    ``rng``; ``conv`` builds the two convolutions."""
+    return ModelGraph("eager", [
+        conv(1, 6, pad=2, rng=rng, name="c1"), Activation("relu", name="a1"),
+        MaxPool2D(2, name="p1"),
+        conv(6, 16, pad=0, rng=rng, name="c2"), Activation("relu", name="a2"),
+        MaxPool2D(2, name="p2"), Flatten(name="flat"),
+        Linear(400, 120, rng=rng, name="fc1"), Activation("relu", name="a3"),
+        Linear(120, 84, rng=rng, name="fc2"), Activation("relu", name="a4"),
+        Linear(84, 10, rng=rng, name="fc3"),
+    ], (1, 28, 28), 10)
+
+
+class TestDeferredDraws:
+    @pytest.mark.parametrize("build,conv", [
+        (lambda seed: build_lenet(seed=seed),
+         lambda *a, **kw: Conv2D(*a, 5, **kw)),
+        (lambda seed: build_lenet_kan_full(spec=rbf_spec(4), seed=seed),
+         lambda *a, **kw: KanConv2D(*a, 5, spec=rbf_spec(4), **kw)),
+    ], ids=["lenet", "lenet_kan_full-rbf"])
+    @pytest.mark.parametrize("touch_last_first", [False, True],
+                             ids=["in-order", "last-first"])
+    def test_seeded_state_equals_eager_draws(self, build, conv,
+                                             touch_last_first):
+        model = build(7)
+        assert model.param_count() > 0 and model.mac_count() > 0
+        if touch_last_first:
+            model.layers[-1].weight.sum()
+        eager = _eager_lenet(conv, np.random.default_rng(7))
+        got, want = model.state_items(), eager.state_items()
+        assert len(got) == len(want)
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestModelGraph:
     def test_duplicate_layer_names_rejected(self, rng):
         with pytest.raises(ConsistencyError):
@@ -141,6 +178,12 @@ class TestModelGraph:
         wrong = build_lenet(seed=3)
         with pytest.raises(ConsistencyError):
             wrong.load_state(a.state_dict())
+
+    def test_load_state_rejects_another_dtype(self):
+        # a float64 state is refused, not rounded into a float32 model
+        state = build_lenet(seed=3, dtype=np.float64).state_dict()
+        with pytest.raises(ConsistencyError, match="float64"):
+            build_lenet(seed=4).load_state(state)
 
     def test_state_dict_includes_channel_masks(self):
         m = build_lenet_kan_full(spec=rbf_spec(2), seed=3)
