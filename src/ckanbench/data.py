@@ -249,7 +249,8 @@ def load_tabular_csv(features_path: str, targets_path: str,
 
 def _proportional_counts(sizes: np.ndarray, frac: float) -> np.ndarray:
     """Per-group draw counts: cumulative rounding keeps each group within
-    one sample of exact proportionality while the total is round(frac*N)."""
+    one sample of exact proportionality while the total is round(frac*N),
+    which is n for frac = n / N."""
     cum = np.round(np.cumsum(sizes) * frac).astype(np.int64)
     return np.diff(np.concatenate([[0], cum]))
 
@@ -291,21 +292,8 @@ def subset_dataset(ds: Dataset, n: int, seed: int = 0) -> Dataset:
         idx = rng.permutation(total)[:n]
         return ds.take(np.sort(idx), f"{ds.name}-sub{n}")
     classes, sizes = np.unique(ds.targets, return_counts=True)
-    counts = _proportional_counts(sizes, n / total)
-    # Cumulative rounding can land one off the requested total; repair on
-    # the largest classes, never below zero or above a class size.
-    drift = n - int(counts.sum())
-    order = np.argsort(-sizes, kind="stable")
-    k = 0
-    while drift != 0:
-        j = order[k % len(order)]
-        step = 1 if drift > 0 else -1
-        if 0 <= counts[j] + step <= sizes[j]:
-            counts[j] += step
-            drift -= step
-        k += 1
     picks = []
-    for cls, take in zip(classes, counts):
+    for cls, take in zip(classes, _proportional_counts(sizes, n / total)):
         members = np.flatnonzero(ds.targets == cls)
         picks.append(rng.permutation(members)[:take])
     idx = rng.permutation(np.concatenate(picks))

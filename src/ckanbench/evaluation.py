@@ -206,14 +206,16 @@ def _layer_by_name(model, name: str):
 
 
 def apply_prune_mask(model, pmask: PruneMask) -> None:
-    """AND the mask into each layer; a masked channel can never return."""
+    """AND the mask into each layer; a masked channel can never return.
+    Every name and shape is checked before any layer changes."""
+    layers = {name: _layer_by_name(model, name) for name in pmask.masks}
     for name, mask in pmask.masks.items():
-        layer = _layer_by_name(model, name)
-        current = layer.channel_mask
+        current = layers[name].channel_mask
         if mask.shape != current.shape:
             raise ConsistencyError(
                 f"{name}: mask shape {mask.shape} != {current.shape}")
-        layer.channel_mask = current & mask
+    for name, mask in pmask.masks.items():
+        layers[name].channel_mask = layers[name].channel_mask & mask
 
 
 def masked_scalar_count(model) -> int:
@@ -229,10 +231,6 @@ def finetune_pruned(model, pmask: PruneMask, train, val, epochs: int = 1,
                     **fit_kwargs) -> FitResult:
     """Apply the mask and fine-tune; the mask is verified unchanged after
     every epoch and the masked channels receive zero gradient throughout."""
-    for name, mask in pmask.masks.items():
-        layer = _layer_by_name(model, name)
-        if mask.shape != layer.channel_mask.shape:
-            raise ConsistencyError(f"{name}: mask shape mismatch")
     apply_prune_mask(model, pmask)
     frozen = {name: _layer_by_name(model, name).channel_mask.copy()
               for name in pmask.masks}

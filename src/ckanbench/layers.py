@@ -15,16 +15,16 @@ so each edge carries B + 3 parameters (B spline coefficients, the base
 weight w_b, the spline gain w_s, and the shift t).  By that identity a
 KAN convolution is a classical one over the C*(B+1)-channel map
 [act(x), basis_1(x), ..., basis_B(x)] with the folded weights
-[w_b, w_s * c] and the shifts summed into the bias.  The input is
-zero-padded and then expanded once per pixel; the classical convolution
-does the rest.  ``KanLinear`` is the 1x1 case of the same path.
+[w_b, w_s * c] and the shifts summed into the bias.
 
-Every convolution, classical or spline-kernel, runs on its zero-padded
-input in blocks of samples: per block, im2col and one GEMM, with the
-block's columns capped at ``BLOCK_BYTES``, so the whole batch's columns
-are never held at once.  Training caches the padded input (for a KAN
-layer, the expanded map and its per-pixel derivative), never the
-columns; backward rebuilds each block's columns from it.
+Every convolution, classical or spline-kernel, shares one forward and
+one backward: zero-pad the input, map it (the identity for ``Conv2D``,
+the per-pixel basis expansion for a KAN layer), then convolve the map
+with the layer's kernel in blocks of samples: per block, im2col and one
+GEMM, with the block's columns capped at ``BLOCK_BYTES``, so the whole
+batch's columns are never held at once.  Training caches the map (for
+a KAN layer, also its per-pixel derivative), never the columns; backward
+rebuilds each block's columns from it.  ``KanLinear`` is the 1x1 case.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -32,8 +32,11 @@ The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 layer; only the [N, C, L] reshape and the length-axis padding are 1-D.
 
 Channel masks: KAN layers carry a boolean ``channel_mask`` over
-output channels.  Masked channels output exactly 0, receive zero
-gradients, and are excluded from parameter and MAC counts.
+output channels.  The mask lives in the folded kernel: masked rows of
+the weight and bias are 0, so masked channels output exactly 0 (for
+finite inputs), and their rows of the folded gradient are zeroed, so
+they receive zero gradients.  They are excluded from parameter and MAC
+counts.
 """
 
 from __future__ import annotations
@@ -56,6 +59,21 @@ def _act_pair(kind: str):
     if kind not in _ACTS:
         raise ConfigError(f"unknown activation {kind!r}")
     return _ACTS[kind]
+
+
+# Float64 elements per draw when filling a parameter, so a float32 weight
+# never has its whole float64 draw alive at once.
+DRAW_CHUNK = 1 << 16
+
+
+def _draw(sample, shape, dtype) -> np.ndarray:
+    """``sample(size)`` over ``shape`` cast to ``dtype``, drawn in chunks of
+    ``DRAW_CHUNK`` from the same stream, so it equals the one-shot draw."""
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for s in range(0, flat.size, DRAW_CHUNK):
+        flat[s:s + DRAW_CHUNK] = sample(min(DRAW_CHUNK, flat.size - s))
+    return out
 
 
 class Layer:
@@ -199,16 +217,11 @@ class MaxPool2D(Layer):
         n, c, h, w = x.shape
         ho, wo = self._out_hw(h, w)
         s = self.stride
-        if s == self.wh == self.ww and h % s == 0 and w % s == 0:
-            # the windows tile the input, so a reshape gathers them
-            win = x.reshape(n, c, ho, s, wo, s).transpose(0, 1, 2, 4, 3, 5)
-        else:
-            sn, sc, sh, sw = x.strides
-            win = np.lib.stride_tricks.as_strided(
-                x, (n, c, ho, wo, self.wh, self.ww),
-                (sn, sc, s * sh, s * sw, sh, sw), writeable=False,
-            )
-        win = win.reshape(n, c, ho, wo, self.wh * self.ww)
+        sn, sc, sh, sw = x.strides
+        win = np.lib.stride_tricks.as_strided(
+            x, (n, c, ho, wo, self.wh, self.ww),
+            (sn, sc, s * sh, s * sw, sh, sw), writeable=False,
+        ).reshape(n, c, ho, wo, self.wh * self.ww)
         idx = win.argmax(axis=-1)
         out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
         if training:
@@ -248,7 +261,7 @@ class Linear(Layer):
     def init_params(self, rng):
         bound = 1.0 / np.sqrt(self.in_features)
         shape = (self.out_features, self.in_features)
-        self.weight = rng.uniform(-bound, bound, shape).astype(self.dtype)
+        self.weight = _draw(lambda k: rng.uniform(-bound, bound, k), shape, self.dtype)
         self.bias = np.zeros(self.out_features, dtype=self.dtype)
         super().init_params(rng)
 
@@ -292,9 +305,7 @@ def _pad_input(x, kh, kw, stride, pad):
 
 
 def _crop(dxp, pad):
-    """Gradient of ``_pad_input``: drop the padded border (None passes)."""
-    if dxp is None:
-        return None
+    """Gradient of ``_pad_input``: drop the padded border."""
     h, w = dxp.shape[2:]
     return dxp[:, :, pad:h - pad, pad:w - pad]
 
@@ -354,8 +365,16 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
     return gw, gb, dxp
 
 
-class Conv2D(Layer):
-    param_names = ("weight", "bias")
+class _Conv(Layer):
+    """Geometry and the one forward/backward pass of every convolution.
+
+    The forward checks the channels, zero-pads the input, maps it with
+    ``_map`` and convolves the map with ``_kernel()``.  The backward runs
+    that convolution's backward, hands the weight and bias gradients to
+    ``_add_grads``, chains the map's gradient through ``_map_grad`` and
+    crops the padding.  Subclasses fill in those four hooks; the map is
+    the identity unless overridden.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
                  stride: int = 1, pad: int = 0, rng=None,
@@ -370,96 +389,126 @@ class Conv2D(Layer):
         if rng is not None:
             self.init_params(rng)
 
-    def init_params(self, rng):
-        bound = 1.0 / np.sqrt(self.in_ch * self.kh * self.kw)
-        shape = (self.out_ch, self.in_ch, self.kh, self.kw)
-        self.weight = rng.uniform(-bound, bound, shape).astype(self.dtype)
-        self.bias = np.zeros(self.out_ch, dtype=self.dtype)
-        super().init_params(rng)
+    def _map(self, xp, training):
+        """The map the kernel slides over, and what ``_map_grad`` needs."""
+        return xp, None
+
+    def _map_grad(self, dmap, aux):
+        return dmap
+
+    def _kernel(self):
+        """Weight [O, C'*kh*kw] over the C'-channel map, and bias [O]."""
+        raise NotImplementedError
+
+    def _add_grads(self, gw, gb) -> None:
+        raise NotImplementedError
 
     def forward(self, x, training=True):
         _, c, _, _ = x.shape
         if c != self.in_ch:
-            raise DimensionError(f"{self.name or 'conv'}: expected {self.in_ch} channels, got {c}")
+            raise DimensionError(f"{self.name or type(self).__name__}: "
+                                 f"expected {self.in_ch} channels, got {c}")
+        # pad before mapping, so a KAN layer's padded taps read phi(0), not 0
         xp = _pad_input(x, self.kh, self.kw, self.stride, self.pad)
-        out = _conv_forward(xp, self.weight.reshape(self.out_ch, -1), self.bias,
-                            self.kh, self.kw, self.stride)
+        xmap, aux = self._map(xp, training)
+        w2, bias = self._kernel()
+        out = _conv_forward(xmap, w2, bias, self.kh, self.kw, self.stride)
         if training:
-            self._cache = xp
+            self._cache = (xmap, aux)
         return out
 
     def backward(self, dout, input_grad=True):
-        xp = self._need_cache(self._cache)
-        gw, gb, dxp = _conv_backward(dout, xp, self.weight.reshape(self.out_ch, -1),
-                                     self.kh, self.kw, self.stride, input_grad)
+        xmap, aux = self._need_cache(self._cache)
+        gw, gb, dmap = _conv_backward(dout, xmap, self._kernel()[0], self.kh,
+                                      self.kw, self.stride, input_grad)
+        self._add_grads(gw, gb)
+        if dmap is None:
+            return None
+        return _crop(self._map_grad(dmap, aux), self.pad)
+
+    def _taps(self, in_shape) -> int:
+        """Kernel taps summed into one output channel of one sample."""
+        c, h, w = in_shape
+        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
+        return ho * wo * c * self.kh * self.kw
+
+    def output_shape(self, in_shape):
+        c, h, w = in_shape
+        if c != self.in_ch:
+            raise DimensionError(f"{type(self).__name__} expects {self.in_ch} channels, got {c}")
+        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
+        return (self.out_ch, ho, wo)
+
+
+class Conv2D(_Conv):
+    param_names = ("weight", "bias")
+
+    def init_params(self, rng):
+        bound = 1.0 / np.sqrt(self.in_ch * self.kh * self.kw)
+        shape = (self.out_ch, self.in_ch, self.kh, self.kw)
+        self.weight = _draw(lambda k: rng.uniform(-bound, bound, k), shape, self.dtype)
+        self.bias = np.zeros(self.out_ch, dtype=self.dtype)
+        super().init_params(rng)
+
+    def _kernel(self):
+        return self.weight.reshape(self.out_ch, -1), self.bias
+
+    def _add_grads(self, gw, gb):
         self.grad["weight"] += gw.reshape(self.weight.shape)
         self.grad["bias"] += gb
-        return _crop(dxp, self.pad)
 
     def param_count(self):
         return self.out_ch * (self.in_ch * self.kh * self.kw + 1)
 
     def mac_count(self, in_shape):
-        c, h, w = in_shape
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        return self.out_ch * ho * wo * c * self.kh * self.kw
-
-    def output_shape(self, in_shape):
-        c, h, w = in_shape
-        if c != self.in_ch:
-            raise DimensionError(f"conv expects {self.in_ch} channels, got {c}")
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        return (self.out_ch, ho, wo)
+        return self.out_ch * self._taps(in_shape)
 
 
-class _KanLayer(Layer):
-    """Edge parameters and the expand-then-GEMM passes shared by the
-    spline-kernel layers.
-
-    Each edge term has shape (O, C) + kernel.  The passes run on an
-    [N, C, H, W] input with the geometry ``kh``, ``kw``, ``stride`` and
-    ``pad`` of the subclass.
+class _KanLayer(_Conv):
+    """Edge parameters and the convolution hooks of the spline-kernel
+    layers: the map is the per-pixel basis expansion and the kernel the
+    folded edge weights.  Each edge term has shape ``edge_shape``,
+    (O, C) + kernel.
     """
 
-    kh: int
-    kw: int
-    stride: int
-    pad: int
     param_names = ("coeffs", "w_base", "w_spline", "shift", "bias")
 
-    def _init_edges(self, out_ch: int, in_ch: int, kernel: tuple,
-                    spec: SplineSpec, base_act: str, rng, dtype) -> None:
+    def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
+                 stride: int = 1, pad: int = 0, spec: SplineSpec = None,
+                 base_act: str = "silu", rng=None,
+                 dtype=T.DEFAULT_DTYPE, name: str = ""):
         if spec is None:
             raise ConfigError(f"{type(self).__name__} requires a SplineSpec")
         self.spec = spec
         self.base_act = base_act
         self.act_fn, self.act_grad_fn = _act_pair(base_act)
-        self.edge_shape = (out_ch, in_ch) + kernel
-        self.dtype = np.dtype(dtype)
-        self.channel_mask = np.ones(out_ch, dtype=bool)
-        self._cache = None
-        if rng is not None:
-            self.init_params(rng)
+        self.channel_mask = np.ones(int(out_ch), dtype=bool)
+        super().__init__(in_ch, out_ch, kh, kw, stride, pad, rng, dtype, name)
+
+    @property
+    def edge_shape(self) -> tuple:
+        return (self.out_ch, self.in_ch, self.kh, self.kw)
 
     def init_params(self, rng):
         shape, dtype, b = self.edge_shape, self.dtype, self.spec.basis_count
         bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
-        self.w_base = rng.uniform(-bound, bound, shape).astype(dtype)
+        self.w_base = _draw(lambda k: rng.uniform(-bound, bound, k), shape, dtype)
         self.w_spline = np.ones(shape, dtype=dtype)
-        self.coeffs = rng.normal(0.0, 0.1 / np.sqrt(b), shape + (b,)).astype(dtype)
+        self.coeffs = _draw(lambda k: rng.normal(0.0, 0.1 / np.sqrt(b), k),
+                            shape + (b,), dtype)
         self.shift = np.zeros(shape, dtype=dtype)
         self.bias = np.zeros(shape[0], dtype=dtype)
         super().init_params(rng)
 
-    def _expand(self, xp, with_deriv: bool):
+    def _map(self, xp, training):
         """Per-pixel expansion of [N, C, H, W] into the [N, C*(B+1), H, W]
         map whose channel c*(B+1) + m holds act(x_c) for m = 0 and
-        basis_m(x_c) after it; with ``with_deriv`` also its elementwise
-        d/dx, as [N*C, B+1, H*W]."""
+        basis_m(x_c) after it; in training also its elementwise d/dx, as
+        [N*C, B+1, H*W]."""
         n, c, h, w = xp.shape
         x3 = xp.reshape(n * c, 1, h * w)
         dmap = None
-        if with_deriv:
+        if training:
             basis, dbasis = basis_and_deriv_block(x3, self.spec)
             dmap = np.concatenate([self.act_grad_fn(x3), dbasis[:, :, 0]], axis=1)
         else:
@@ -467,44 +516,30 @@ class _KanLayer(Layer):
         emap = np.concatenate([self.act_fn(x3), basis[:, :, 0]], axis=1)
         return emap.reshape(n, -1, h, w), dmap
 
-    def _folded(self):
+    def _map_grad(self, demap, dmap):
+        n, _, h, w = demap.shape
+        return (demap.reshape(dmap.shape) * dmap).sum(axis=1).reshape(n, -1, h, w)
+
+    def _kernel(self):
         """Weight [O, C*(B+1)*kh*kw] of the classical convolution over the
         expanded map, [w_b, w_s * c] per edge, and its bias with the edge
-        shifts summed in."""
+        shifts summed in; both zero on masked channels."""
         o, c = self.w_base.shape[:2]
         w = np.empty((o, c, self.spec.basis_count + 1) + self.w_base.shape[2:],
                      dtype=self.w_base.dtype)
         w[:, :, 0] = self.w_base
         w[:, :, 1:] = np.moveaxis(self.w_spline[..., None] * self.coeffs, -1, 2)
-        return w.reshape(o, -1), self.shift.reshape(o, -1).sum(axis=1) + self.bias
+        w = w.reshape(o, -1)
+        bias = self.shift.reshape(o, -1).sum(axis=1) + self.bias
+        w[~self.channel_mask] = 0.0
+        bias[~self.channel_mask] = 0.0
+        return w, bias
 
-    def _forward4(self, x, training):
-        # pad before expanding, so padded taps read phi(0) rather than 0
-        xp = _pad_input(x, self.kh, self.kw, self.stride, self.pad)
-        emap, dmap = self._expand(xp, training)
-        w2, bias = self._folded()
-        out = _conv_forward(emap, w2, bias, self.kh, self.kw, self.stride)
-        out[:, ~self.channel_mask] = 0.0
-        if training:
-            self._cache = (emap, dmap)
-        return out
-
-    def backward(self, dout, input_grad=True):
-        emap, dmap = self._need_cache(self._cache)
-        if not self.channel_mask.all():
-            dout = np.where(self.channel_mask[:, None, None], dout, 0)
-        gw, gb, demap = _conv_backward(dout, emap, self._folded()[0], self.kh,
-                                       self.kw, self.stride, input_grad)
-        self._accumulate(gw, gb)
-        if not input_grad:
-            return None
-        n, _, h, w = emap.shape
-        dx = (demap.reshape(dmap.shape) * dmap).sum(axis=1).reshape(n, -1, h, w)
-        return _crop(dx, self.pad)
-
-    def _accumulate(self, gw, gsum) -> None:
+    def _add_grads(self, gw, gsum):
         """Unfold a gradient of the folded weight and bias into the edge
-        parameter gradients."""
+        parameter gradients, masked channels' rows zeroed first."""
+        gw[~self.channel_mask] = 0.0
+        gsum[~self.channel_mask] = 0.0
         o, c = self.w_base.shape[:2]
         gw = gw.reshape((o, c, -1) + self.w_base.shape[2:])
         g = self.grad
@@ -529,72 +564,45 @@ class _KanLayer(Layer):
     def param_count(self):
         return self.active_channels() * self.channel_param_count()
 
+    def mac_count(self, in_shape):
+        return (self.active_channels() * self._taps(in_shape)
+                * (self.spec.basis_count + 2))
+
 
 class KanConv2D(_KanLayer):
     """Convolution whose kernel taps are learnable 1-D spline functions."""
-
-    def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
-                 stride: int = 1, pad: int = 0, spec: SplineSpec = None,
-                 base_act: str = "silu", rng=None,
-                 dtype=T.DEFAULT_DTYPE, name: str = ""):
-        kw = kh if kw is None else kw
-        self.in_ch, self.out_ch = int(in_ch), int(out_ch)
-        self.kh, self.kw = int(kh), int(kw)
-        self.stride, self.pad = int(stride), int(pad)
-        self._init_edges(self.out_ch, self.in_ch, (self.kh, self.kw), spec,
-                         base_act, rng, dtype)
-        self.name = name
-
-    def forward(self, x, training=True):
-        _, c, _, _ = x.shape
-        if c != self.in_ch:
-            raise DimensionError(f"{self.name or 'kanconv'}: expected {self.in_ch} channels, got {c}")
-        return self._forward4(x, training)
-
-    def mac_count(self, in_shape):
-        c, h, w = in_shape
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        return (self.active_channels() * ho * wo * c * self.kh * self.kw
-                * (self.spec.basis_count + 2))
-
-    def output_shape(self, in_shape):
-        c, h, w = in_shape
-        if c != self.in_ch:
-            raise DimensionError(f"kanconv expects {self.in_ch} channels, got {c}")
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        return (self.out_ch, ho, wo)
 
 
 class KanLinear(_KanLayer):
     """Fully connected layer whose weights are learnable spline functions.
 
-    It runs as a 1x1 spline-kernel convolution over [N, F, 1, 1].
+    It runs as a 1x1 spline-kernel convolution over [N, F, 1, 1], with
+    edges of shape (O, F).
     """
-
-    kh = kw = stride = 1
-    pad = 0
 
     def __init__(self, in_features: int, out_features: int,
                  spec: SplineSpec = None, base_act: str = "silu", rng=None,
                  dtype=T.DEFAULT_DTYPE, name: str = ""):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self._init_edges(self.out_features, self.in_features, (), spec,
-                         base_act, rng, dtype)
-        self.name = name
+        super().__init__(in_features, out_features, 1, spec=spec,
+                         base_act=base_act, rng=rng, dtype=dtype, name=name)
+
+    @property
+    def edge_shape(self) -> tuple:
+        return (self.out_features, self.in_features)
 
     def forward(self, x, training=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise DimensionError(f"{self.name or 'kanlinear'}: expected [N,{self.in_features}], got {x.shape}")
-        return self._forward4(x[:, :, None, None], training)[:, :, 0, 0]
+        return super().forward(x[:, :, None, None], training)[:, :, 0, 0]
 
     def backward(self, dout, input_grad=True):
         dx = super().backward(dout[:, :, None, None], input_grad=input_grad)
         return None if dx is None else dx[:, :, 0, 0]
 
     def mac_count(self, in_shape):
-        return (self.in_features * self.active_channels()
-                * (self.spec.basis_count + 2))
+        return super().mac_count((self.in_features, 1, 1))
 
     def output_shape(self, in_shape):
         if tuple(in_shape) != (self.in_features,):

@@ -152,29 +152,33 @@ def _bspline_levels(x3: np.ndarray, spec: SplineSpec, want_prev: bool):
         if want_prev and lvl == k:
             prev = cur
         cur = left
-    return cur, prev, xc
+    return cur, prev
 
 
-def _rbf_params(spec: SplineSpec, dtype) -> tuple[np.ndarray, float]:
-    centers = rbf_centers(spec).astype(dtype)
+def _rbf(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
+    """Gaussian bumps over a [T, n, P] block: returns the values
+    [T, G, n, P] and, when requested, their d/dx of the clamped input
+    (else None)."""
+    dtype = x3.dtype
     inv_h = dtype.type(1.0) / dtype.type(rbf_bandwidth(spec))
-    return centers, inv_h
+    scale = dtype.type(-2.0) * inv_h
+    xc = np.clip(x3, *spec.domain)
+    t, n, p = x3.shape
+    val = np.empty((t, spec.grid_size, n, p), dtype=dtype)
+    der = np.empty_like(val) if want_deriv else None
+    for m, c in enumerate(rbf_centers(spec).astype(dtype)):
+        u = (xc - c) * inv_h
+        np.exp(-(u * u), out=val[:, m])
+        if want_deriv:
+            der[:, m] = val[:, m] * u * scale
+    return val, der
 
 
 def basis_block(x3: np.ndarray, spec: SplineSpec) -> np.ndarray:
     """Evaluate all basis functions over [T, n, P]; returns [T, B, n, P]."""
     if spec.family is BasisFamily.BSPLINE:
-        cur, _, _ = _bspline_levels(x3, spec, want_prev=False)
-        return cur
-    t, n, p = x3.shape
-    centers, inv_h = _rbf_params(spec, x3.dtype)
-    a, b = spec.domain
-    xc = np.clip(x3, a, b)
-    out = np.empty((t, spec.grid_size, n, p), dtype=x3.dtype)
-    for m, c in enumerate(centers):
-        u = (xc - c) * inv_h
-        np.exp(-(u * u), out=out[:, m])
-    return out
+        return _bspline_levels(x3, spec, want_prev=False)[0]
+    return _rbf(x3, spec, want_deriv=False)[0]
 
 
 def basis_and_deriv_block(x3: np.ndarray, spec: SplineSpec):
@@ -186,26 +190,16 @@ def basis_and_deriv_block(x3: np.ndarray, spec: SplineSpec):
     a, b = spec.domain
     inside = ((x3 >= a) & (x3 <= b)).astype(x3.dtype)
     if spec.family is BasisFamily.BSPLINE:
-        cur, prev, _ = _bspline_levels(x3, spec, want_prev=True)
+        cur, prev = _bspline_levels(x3, spec, want_prev=True)
         if spec.degree == 0:
             return cur, np.zeros_like(cur)
         h = (b - a) / spec.grid_size
         nb = cur.shape[1]
         deriv = (prev[:, :nb] - prev[:, 1:nb + 1]) / x3.dtype.type(h)
-        deriv *= inside[:, None]
-        return cur, deriv
-    t, n, p = x3.shape
-    centers, inv_h = _rbf_params(spec, x3.dtype)
-    xc = np.clip(x3, a, b)
-    val = np.empty((t, spec.grid_size, n, p), dtype=x3.dtype)
-    der = np.empty_like(val)
-    scale = x3.dtype.type(-2.0) * inv_h
-    for m, c in enumerate(centers):
-        u = (xc - c) * inv_h
-        np.exp(-(u * u), out=val[:, m])
-        der[:, m] = val[:, m] * u * scale
-    der *= inside[:, None]
-    return val, der
+    else:
+        cur, deriv = _rbf(x3, spec, want_deriv=True)
+    deriv *= inside[:, None]
+    return cur, deriv
 
 
 def _as_block(x) -> tuple[np.ndarray, tuple]:

@@ -16,6 +16,7 @@ never overlap; reports are always merged in grid order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -202,11 +203,7 @@ def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
     result.val_acc = float(val_acc)
     result.params = int(model.param_count())
     result.macs = int(model.mac_count())
-    if profile_lock is not None:
-        with profile_lock:
-            prof = latency_profile(model, cfg.latency_batch,
-                                   cfg.latency_warmup, cfg.latency_iters)
-    else:
+    with profile_lock if profile_lock is not None else contextlib.nullcontext():
         prof = latency_profile(model, cfg.latency_batch, cfg.latency_warmup,
                                cfg.latency_iters)
     result.latency_ms = prof.median_ms

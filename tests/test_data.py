@@ -8,12 +8,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT
-from ckanbench.data import (MNIST_FILES, Dataset, load_mnist_dir,
-                            load_mnist_idx, load_tabular_csv, read_idx,
-                            split_dataset, subset_dataset, synthetic_blobs,
-                            synthetic_digits, synthetic_multilabel,
+from ckanbench.data import (MNIST_FILES, Dataset, _proportional_counts,
+                            load_mnist_dir, load_mnist_idx, load_tabular_csv,
+                            read_idx, split_dataset, subset_dataset,
+                            synthetic_blobs, synthetic_digits,
+                            synthetic_multilabel,
                             write_idx_images, write_idx_labels,
                             write_synthetic_mnist)
 from ckanbench.errors import ConfigError, ConsistencyError, FormatError
@@ -341,6 +343,19 @@ class TestSubset:
         assert len(sub) == 333
         counts = np.bincount(sub.targets, minlength=10)
         assert all(abs(c - 33.3) <= 1 for c in counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=12),
+           data=st.data())
+    def test_counts_are_proportional_and_sum_to_n(self, sizes, data):
+        # unequal classes; the counts need no repair to reach n
+        sizes = np.array(sizes)
+        total = int(sizes.sum())
+        n = data.draw(st.integers(1, total))
+        counts = _proportional_counts(sizes, n / total)
+        assert counts.sum() == n
+        assert ((counts >= 0) & (counts <= sizes)).all()
+        assert (np.abs(counts - sizes * (n / total)) <= 1).all()
 
     def test_full_size_is_identity(self):
         ds = synthetic_blobs(50, classes=5, dim=2, seed=0)

@@ -215,6 +215,15 @@ class TestPruning:
         with pytest.raises(ConsistencyError):
             apply_prune_mask(model, PruneMask(0.0, {"kconv1": np.ones(5, bool)}))
 
+    def test_apply_changes_nothing_when_a_later_mask_is_bad(self):
+        model = self._model()
+        k1, k2 = model.kan_conv_layers()
+        bad = PruneMask(0.0, {"kconv1": np.zeros_like(k1.channel_mask),
+                              "kconv2": np.ones(k2.out_ch + 1, dtype=bool)})
+        with pytest.raises(ConsistencyError):
+            apply_prune_mask(model, bad)
+        assert k1.channel_mask.all() and k2.channel_mask.all()
+
     def test_param_count_drops_by_masked_scalars(self):
         model = self._model()
         before = model.param_count()

@@ -1,6 +1,8 @@
 """Layer forward passes against loop oracles, count formulas, channel
 masks, and the classical-degeneration identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,17 @@ class TestLinearAndKanLinear:
         want = rng.normal(0.0, 0.1 / np.sqrt(b), shape + (b,)).astype(np.float32)
         assert kan.coeffs.reshape(shape + (b,)).tobytes() == want.tobytes()
 
+    def test_init_draw_holds_no_float64_copy(self):
+        # the float32 weight is filled in float64 chunks: the peak is the
+        # weight, its zeroed gradient buffer and one chunk
+        tracemalloc.start()
+        try:
+            lin = Linear(2048, 4096, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * lin.weight.nbytes
+
 
 class TestMaxPool:
     def test_matches_naive(self, rng):
@@ -254,9 +267,10 @@ class TestMaxPool:
         assert dx.sum() == out.size
 
     def test_tiling_fast_path_matches_strided_path(self, rng):
-        # 8x8 takes the reshape path; a 9x9 input holding it in its top
-        # left corner takes the strided path over the same windows.  ReLU
-        # input with all-zero windows makes ties the common case.
+        # 2x2 windows tile an 8x8 input but leave a row and column of a
+        # 9x9 input holding it in its top left corner unread; both must
+        # pick the same maxima.  ReLU input with all-zero windows makes
+        # ties the common case.
         x = np.maximum(rng.standard_normal((2, 3, 8, 8)), 0.0)
         x[:, :, :4, :4] = 0.0
         x9 = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
