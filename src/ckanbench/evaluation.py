@@ -210,7 +210,9 @@ def apply_prune_mask(model, pmask: PruneMask) -> None:
     Every name and shape is checked before any layer changes."""
     layers = {name: _layer_by_name(model, name) for name in pmask.masks}
     for name, mask in pmask.masks.items():
-        current = layers[name].channel_mask
+        current = getattr(layers[name], "channel_mask", None)
+        if current is None:
+            raise ConsistencyError(f"{name}: layer has no channel mask")
         if mask.shape != current.shape:
             raise ConsistencyError(
                 f"{name}: mask shape {mask.shape} != {current.shape}")

@@ -20,11 +20,17 @@ KAN convolution is a classical one over the C*(B+1)-channel map
 Every convolution, classical or spline-kernel, shares one forward and
 one backward: zero-pad the input, map it (the identity for ``Conv2D``,
 the per-pixel basis expansion for a KAN layer), then convolve the map
-with the layer's kernel in blocks of samples: per block, im2col and one
-GEMM, with the block's columns capped at ``BLOCK_BYTES``, so the whole
-batch's columns are never held at once.  Training caches the map (for
-a KAN layer, also its per-pixel derivative), never the columns; backward
-rebuilds each block's columns from it.  ``KanLinear`` is the 1x1 case.
+with the layer's kernel in blocks of samples.  A stride-1 kernel more
+than one row high builds no columns: each block is laid out
+channel-major as one flat array in which every kernel tap is a
+contiguous slice, and the forward and input gradient run one GEMM per
+kernel row over those slices, the weight gradient one per tap (blocks
+capped at ``FLAT_BLOCK_BYTES``).  Stride > 1 and one-row kernels (the
+1-D layers, ``KanLinear``) run im2col and one GEMM per block, with the
+block's columns capped at ``BLOCK_BYTES``, and col2im for the input
+gradient.  Training caches the map (for a KAN layer, also its per-pixel
+derivative); backward rebuilds each block from it.  ``KanLinear`` is
+the 1x1 case.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -290,10 +296,18 @@ class Linear(Layer):
         return (self.out_features,)
 
 
-# Bytes of im2col columns one block of samples fills.  Blocking keeps the
-# whole batch's columns from ever being held at once; 1 to 16 MiB measured
-# alike, so this bounds memory more than it tunes speed.
+# Bytes of im2col columns one block of samples fills on the im2col path
+# (``_conv_blocks``: stride > 1, or a kernel one row high).  Blocking keeps
+# the whole batch's columns from ever being held at once; 1 to 16 MiB
+# measured alike, so this bounds memory more than it tunes speed.
 BLOCK_BYTES = 4 << 20
+
+# Bytes of the larger of a block's channel-major input map [C, m] and its
+# wide output [O, m] on the shifted-GEMM path (stride 1, a kernel more than
+# one row high).  Each kernel row's GEMM re-reads the block, so it is kept
+# cache-sized: 128 KiB ran faster than 256 KiB to 1 MiB, and than blocks
+# of 8 samples.
+FLAT_BLOCK_BYTES = 128 << 10
 
 
 def _pad_input(x, kh, kw, stride, pad):
@@ -328,14 +342,90 @@ def _conv_blocks(xp, kh, kw, stride, dtype=None):
         yield s, e, T.im2col_batch(xp[s:e], kh, kw, stride, out=cols)
 
 
+# The shifted-GEMM path.  A block of nb samples of the padded map
+# [N, C, Hp, Wp] is laid out channel-major as flat [C, m + tail], with
+# m = nb*Hp*Wp and a zero tail of (kh - 1)*Wp + kw - 1 columns.  Tap
+# (ki, kj) of every output position p is then flat[:, p + ki*Wp + kj], so
+# each tap is one contiguous slice.  Positions with i >= Ho or j >= Wo
+# read across a row or sample edge; they are the "wide" waste that the
+# forward crops and the backward gives a zero output gradient.
+
+def _flat_blocks(xp, tail, step, dtype):
+    """Yield (start, stop, flat) per block of ``step`` samples of ``xp``
+    [N, C, H, W], ``flat`` being the block channel-major with ``tail``
+    zero columns after it (only wide positions read them; zeros keep
+    those finite, so a zero output gradient cancels them).  Every block
+    is written into one buffer, so it is valid only until the next block
+    is yielded."""
+    n, c, h, w = xp.shape
+    buf = np.empty(c * (min(step, n) * h * w + tail), dtype=dtype)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        m = (e - s) * h * w
+        flat = buf[:c * (m + tail)].reshape(c, m + tail)
+        flat[:, :m].reshape(c, e - s, h, w)[...] = xp[s:e].transpose(1, 0, 2, 3)
+        flat[:, m:] = 0
+        yield s, e, flat
+
+
+class _RowGemms:
+    """The stride-1 valid convolution of a flat block with the kernel
+    ``w4`` [O, C, kh, kw] over maps ``w`` wide: per kernel row ki one GEMM
+    of that row, [O, C*kw], with the slice at ki*w of the block's kw
+    column shifts stacked into [C*kw, m + (kh - 1)*w].  Buffers are sized
+    once for blocks of up to ``most`` positions."""
+
+    def __init__(self, w4, w, most, dtype):
+        o, c, kh, kw = w4.shape
+        self.w, self.kw = w, kw
+        self.rows = w4.transpose(2, 0, 1, 3).reshape(kh, o, c * kw).astype(dtype, copy=False)
+        self.stack = np.empty(c * kw * (most + (kh - 1) * w), dtype=dtype)
+        self.acc = np.empty(o * most, dtype=dtype)
+        self.part = np.empty(o * most, dtype=dtype)
+
+    def __call__(self, flat, m):
+        """The [O, m] output over the first m positions of ``flat``, which
+        holds at least (kh - 1)*w + kw - 1 columns after them."""
+        kh, o, ckw = self.rows.shape
+        w, kw = self.w, self.kw
+        span = m + (kh - 1) * w
+        stack = self.stack[:ckw * span].reshape(ckw // kw, kw, span)
+        for kj in range(kw):
+            stack[:, kj] = flat[:, kj:kj + span]
+        stack = stack.reshape(ckw, span)
+        acc = self.acc[:o * m].reshape(o, m)
+        part = self.part[:o * m].reshape(o, m)
+        np.matmul(self.rows[0], stack[:, :m], out=acc)
+        for ki in range(1, kh):
+            np.matmul(self.rows[ki], stack[:, ki * w:ki * w + m], out=part)
+            acc += part
+        return acc
+
+
+def _flat_step(c, o, h, w, dtype):
+    """Samples per flat block: the larger of [C, m] and [O, m] fits in
+    ``FLAT_BLOCK_BYTES``, with at least one sample per block."""
+    return max(1, FLAT_BLOCK_BYTES // (max(c, o) * h * w * dtype.itemsize))
+
+
 def _conv_forward(xp, w2, bias, kh, kw, stride):
     """Valid convolution of the padded input ``xp`` [N, C, H, W] with the
-    weight ``w2`` [O, C*kh*kw]: im2col and one GEMM per block of samples,
-    written into the [N, O, Ho, Wo] output."""
-    n, _, h, w = xp.shape
+    weight ``w2`` [O, C*kh*kw] into the [N, O, Ho, Wo] output, per block
+    of samples: for stride 1 and kh > 1, shifted GEMMs over the flat
+    block, cropped to Ho x Wo; else im2col and one GEMM."""
+    n, c, h, w = xp.shape
     o = w2.shape[0]
     ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
-    out = np.empty((n, o, ho, wo), dtype=np.result_type(xp, w2))
+    dtype = np.result_type(xp, w2)
+    out = np.empty((n, o, ho, wo), dtype=dtype)
+    if stride == 1 and kh > 1:
+        step = _flat_step(c, o, h, w, dtype)
+        conv = _RowGemms(w2.reshape(o, c, kh, kw), w, min(step, n) * h * w, dtype)
+        for s, e, flat in _flat_blocks(xp, (kh - 1) * w + kw - 1, step, dtype):
+            acc = conv(flat, (e - s) * h * w)
+            acc += bias[:, None]
+            out[s:e] = acc.reshape(o, e - s, h, w)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+        return out
     for s, e, cols in _conv_blocks(xp, kh, kw, stride):
         ob = w2 @ cols.reshape(cols.shape[0], -1)
         ob += bias[:, None]
@@ -346,9 +436,11 @@ def _conv_forward(xp, w2, bias, kh, kw, stride):
 def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
     """Backward of ``_conv_forward`` from its output gradient ``dout``:
     returns the weight gradient [O, C*kh*kw], the bias gradient [O] and,
-    with ``input_grad``, the gradient of ``xp`` (else None).  Each block
-    rebuilds its columns from ``xp``; its input-gradient columns then
-    overwrite them in the same buffer."""
+    with ``input_grad``, the gradient of ``xp`` (else None).  On the
+    im2col path each block rebuilds its columns from ``xp``; its
+    input-gradient columns then overwrite them in the same buffer."""
+    if stride == 1 and kh > 1:
+        return _shift_backward(dout, xp, w2, kh, kw, input_grad)
     o = dout.shape[1]
     dtype = np.result_type(dout, xp, w2)
     gw = np.zeros(w2.shape, dtype=dtype)
@@ -363,6 +455,45 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
             np.matmul(w2.T, g, out=cols2)
             dxp[s:e] = T.col2im_batch(cols, (e - s,) + xp.shape[1:], kh, kw, stride)
     return gw, gb, dxp
+
+
+def _shift_backward(dout, xp, w2, kh, kw, input_grad):
+    """Stride-1 ``_conv_backward`` over flat blocks.  The output gradient
+    is laid out wide, D [O, m] with zeros at the wide positions and
+    ``tail`` zero columns before it.  Tap t at offset off adds
+    D @ flat[:, off:off + m]^T to the weight gradient, one GEMM per tap.
+    The input gradient sums W_t^T @ D shifted by each tap's offset: the
+    same row GEMMs as the forward, over the zero-led D with the kernel
+    flipped and its channel axes swapped."""
+    n, c, h, w = xp.shape
+    o, ho, wo = dout.shape[1:]
+    dtype = np.result_type(dout, xp, w2)
+    tail = (kh - 1) * w + kw - 1
+    step = _flat_step(c, o, h, w, dtype)
+    most = min(step, n) * h * w
+    offsets = [ki * w + kj for ki in range(kh) for kj in range(kw)]
+    gw = np.zeros((kh * kw, o, c), dtype=dtype)
+    wide_buf = np.empty(o * (tail + most), dtype=dtype)
+    dxp = None
+    if input_grad:
+        w4 = w2.reshape(o, c, kh, kw)
+        adjoint = _RowGemms(w4[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), w, most, dtype)
+        dxp = np.empty(xp.shape, dtype=dtype)
+    for s, e, flat in _flat_blocks(xp, tail, step, dtype):
+        m = (e - s) * h * w
+        led = wide_buf[:o * (tail + m)].reshape(o, tail + m)
+        wide = led[:, tail:]
+        wide4 = wide.reshape(o, e - s, h, w)
+        wide4[:, :, :ho, :wo] = dout[s:e].transpose(1, 0, 2, 3)
+        wide4[:, :, ho:] = 0
+        wide4[:, :, :ho, wo:] = 0
+        led[:, :tail] = 0
+        for t, off in enumerate(offsets):
+            gw[t] += wide @ flat[:, off:off + m].T
+        if input_grad:
+            dxp[s:e] = adjoint(led, m).reshape(c, e - s, h, w).transpose(1, 0, 2, 3)
+    gw = gw.transpose(1, 2, 0).reshape(o, -1)
+    return gw, dout.sum(axis=(0, 2, 3), dtype=dtype), dxp
 
 
 class _Conv(Layer):

@@ -2,11 +2,12 @@
 
 Arrays are plain numpy ndarrays in C (row-major) order.  Training runs in
 float32 by default; verification (finite-difference) runs use float64.
-Every convolution, classical or spline-kernel, is im2col + one matrix
-multiply per block of samples (the layers size the blocks); a
-spline-kernel layer first expands its input into a per-pixel basis map
-and runs that path on the map.  col2im is the exact adjoint of
-im2col, so gradient checks close to machine precision.
+``im2col_batch`` and its exact adjoint ``col2im_batch`` serve the
+convolutions with stride > 1 or a kernel one row high: im2col + one
+matrix multiply per block of samples (the layers size the blocks, and
+run stride-1 kernels of more than one row as shifted GEMMs without
+columns).  A spline-kernel layer first expands its input into a
+per-pixel basis map and convolves the map.
 """
 
 from __future__ import annotations

@@ -224,6 +224,12 @@ class TestPruning:
             apply_prune_mask(model, bad)
         assert k1.channel_mask.all() and k2.channel_mask.all()
 
+    def test_apply_rejects_a_layer_without_channel_mask(self):
+        model = build_lenet_kan_full()
+        bad = PruneMask(0.0, {"fc1": np.ones(120, dtype=bool)})
+        with pytest.raises(ConsistencyError, match="fc1"):
+            apply_prune_mask(model, bad)
+
     def test_param_count_drops_by_masked_scalars(self):
         model = self._model()
         before = model.param_count()

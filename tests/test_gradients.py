@@ -55,6 +55,11 @@ class TestLayerGradients:
         lyr = Conv2D(2, 3, 3, stride=2, pad=1, rng=rng, dtype=np.float64)
         check_layer_grads(lyr, rng.standard_normal((2, 2, 6, 7)))
 
+    def test_conv2d_stride1_nonsquare(self, rng):
+        # a 3x2 kernel on a 5x7 input padded to Hp = 7 != Wp = 9
+        lyr = Conv2D(2, 3, 3, 2, stride=1, pad=1, rng=rng, dtype=np.float64)
+        check_layer_grads(lyr, rng.standard_normal((2, 2, 5, 7)))
+
     @pytest.mark.parametrize("spec", [rbf_spec(4), bspline_spec(5, 3),
                                       bspline_spec(2, 1)])
     def test_kanconv2d(self, spec, rng):

@@ -352,14 +352,15 @@ class TestShapesAndWrappers:
         assert lyr.mac_count((3, 8)) == 0
 
 
-def _masked_kan(spec, rng):
-    lyr = KanConv2D(2, 3, 3, stride=2, pad=1, spec=spec, rng=rng,
+def _masked_kan(spec, rng, stride=2):
+    lyr = KanConv2D(2, 3, 3, stride=stride, pad=1, spec=spec, rng=rng,
                     dtype=np.float64)
     lyr.channel_mask[1] = False
     return lyr
 
 
-# every convolution code path, in float64, with its per-sample input shape
+# the im2col path (stride > 1, or a one-row kernel), in float64, with its
+# per-sample input shape
 BLOCKED_CASES = {
     "conv2d": (lambda g: Conv2D(2, 3, 3, stride=2, pad=1, rng=g,
                                 dtype=np.float64), (2, 6, 7)),
@@ -409,6 +410,56 @@ class TestSampleBlocks:
         monkeypatch.setattr(T, "im2col_batch", spy)
         monkeypatch.setattr(layers_mod, "BLOCK_BYTES",
                             3 * _float64_column_bytes(lyr, in_shape))
+        blocked = _pass(lyr, x, dout)
+        # forward, then backward: each splits the batch of 7 as 3 + 3 + 1
+        assert seen == [3, 3, 1, 3, 3, 1]
+        for got, want in zip(blocked, whole):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# the stride-1 shifted-GEMM path, in float64, with its per-sample input shape
+FLAT_BLOCKED_CASES = {
+    "conv2d-3x2-pad2": (lambda g: Conv2D(2, 3, 3, 2, pad=2, rng=g,
+                                         dtype=np.float64), (2, 6, 7)),
+    "kanconv2d-rbf": (lambda g: _masked_kan(rbf_spec(4), g, stride=1),
+                      (2, 6, 7)),
+    "kanconv2d-bspline": (lambda g: _masked_kan(bspline_spec(5, 3), g,
+                                                stride=1), (2, 6, 7)),
+}
+
+
+def _float64_flat_bytes(lyr, in_shape):
+    """Bytes of one sample's float64 flat block in the layer: the larger
+    of its padded map and its wide output, channel-major."""
+    c, h, w = in_shape
+    if isinstance(lyr, KanConv2D):
+        c *= lyr.spec.basis_count + 1
+    return max(c, lyr.out_ch) * (h + 2 * lyr.pad) * (w + 2 * lyr.pad) * 8
+
+
+class TestFlatSampleBlocks:
+    @pytest.mark.parametrize("case", sorted(FLAT_BLOCKED_CASES))
+    def test_blocks_match_one_block(self, case, rng, monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        make, in_shape = FLAT_BLOCKED_CASES[case]
+        lyr = make(rng)
+        x = 0.5 * rng.standard_normal((7,) + in_shape)
+        dout = rng.standard_normal((7,) + lyr.output_shape(in_shape))
+        monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES", 1 << 40)
+        whole = _pass(lyr, x, dout)
+
+        seen = []
+        flat_blocks = layers_mod._flat_blocks
+
+        def spy(*args, **kw):
+            for s, e, flat in flat_blocks(*args, **kw):
+                seen.append(e - s)
+                yield s, e, flat
+
+        monkeypatch.setattr(layers_mod, "_flat_blocks", spy)
+        monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES",
+                            3 * _float64_flat_bytes(lyr, in_shape))
         blocked = _pass(lyr, x, dout)
         # forward, then backward: each splits the batch of 7 as 3 + 3 + 1
         assert seen == [3, 3, 1, 3, 3, 1]

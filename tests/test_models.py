@@ -104,6 +104,30 @@ class TestForwardShapes:
             build_tabular_cnn(0, 3)
 
 
+class TestConvPath:
+    @pytest.mark.parametrize("build", [
+        lambda: build_lenet(), lambda: build_lenet_kan_full(rbf_spec(4))],
+        ids=["lenet", "lenet_kan_full-rbf"])
+    def test_lenet_training_builds_no_columns(self, build, monkeypatch):
+        from ckanbench import tensor_ops as T
+
+        calls = []
+
+        def spy(name, real):
+            def call(*args, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            return call
+
+        for name in ("im2col_batch", "col2im_batch"):
+            monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
+        model = build()
+        x = np.random.default_rng(0).standard_normal((5, 1, 28, 28))
+        out = model.forward(x.astype(np.float32), training=True)
+        model.backward(np.ones_like(out))
+        assert calls == []
+
+
 class TestDeterminism:
     def test_same_seed_same_params(self):
         a = build_lenet_kan_full(spec=rbf_spec(3), seed=9)
