@@ -223,14 +223,19 @@ class MaxPool2D(Layer):
         n, c, h, w = x.shape
         ho, wo = self._out_hw(h, w)
         s = self.stride
-        sn, sc, sh, sw = x.strides
-        win = np.lib.stride_tricks.as_strided(
-            x, (n, c, ho, wo, self.wh, self.ww),
-            (sn, sc, s * sh, s * sw, sh, sw), writeable=False,
-        ).reshape(n, c, ho, wo, self.wh * self.ww)
-        idx = win.argmax(axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        taps = [x[:, :, pi:pi + s * (ho - 1) + 1:s, pj:pj + s * (wo - 1) + 1:s]
+                for pi in range(self.wh) for pj in range(self.ww)]
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            # The earlier taps go second: on a +0/-0 tie numpy's maximum
+            # keeps its second operand, so the first maximum's zero is kept.
+            np.maximum(tap, out, out=out)
         if training:
+            # Taps written in reverse window order, so the first maximum in
+            # row-major order wins; a NaN window matches no tap and keeps 0.
+            idx = np.zeros(out.shape, dtype=np.intp)
+            for t in range(len(taps) - 1, -1, -1):
+                np.copyto(idx, t, where=taps[t] == out)
             self._cache = (x.shape, idx)
         return out
 

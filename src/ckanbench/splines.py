@@ -5,12 +5,16 @@ Two families:
 * ``BSPLINE``: degree-K B-splines on a uniform knot vector over [a, b].
   G grid intervals give G+K basis functions; the extended knot vector has
   G + 2K + 1 entries spaced h = (b - a) / G, with t[K] = a and t[G+K] = b.
+  Only K + 1 of them are nonzero at any x, so the evaluation computes
+  just those, from x's interval and its offset within it, and writes
+  them into a zeroed table.
 * ``RBF``: Gaussian bumps exp(-((x - c) / h)^2) at G centers spread
   linspace(a, b, G), bandwidth h = (b - a) / (G - 1) (h = b - a when G = 1).
 
 Inputs outside [a, b] are clamped to the boundary before evaluation, so
 every basis function is defined on the whole real line; the derivative is
-0 in the clamped region.
+0 in the clamped region.  +-inf clamp like any other outside input; a NaN
+input gives a row holding NaN and touches no other element's row.
 
 The block helpers evaluate a rank-3 batch [T, n, P] and return the basis
 axis in position 1 ([T, B, n, P]).  The public ``basis_eval`` /
@@ -120,39 +124,63 @@ def rbf_bandwidth(spec: SplineSpec) -> float:
     return (b - a) / (g - 1) if g > 1 else (b - a)
 
 
-def _bspline_levels(x3: np.ndarray, spec: SplineSpec, want_prev: bool):
-    """Cox-de Boor recursion over a [T, n, P] block.
+def _inside(x3: np.ndarray, spec: SplineSpec) -> np.ndarray:
+    """1 where the input lies in the domain, else 0, in the input's dtype."""
+    a, b = spec.domain
+    return ((x3 >= a) & (x3 <= b)).astype(x3.dtype)
 
-    Returns (final, prev) where final is the degree-K table [T, G+K, n, P]
-    and prev the degree-(K-1) table (None when K = 0 or not requested).
+
+def _bspline(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
+    """Degree-K B-splines over a [T, n, P] block: returns the values
+    [T, G+K, n, P] and, when requested, their d/dx of the clamped input
+    (else None).
+
+    On a uniform grid only the K + 1 functions B_iv .. B_iv+K are nonzero
+    in interval iv, and they depend only on the offset u in [0, 1] of the
+    input within it.  They are built up degree by degree as per-pixel
+    arrays (de Boor's BSPLVB) and scattered into a zeroed table.
     """
     a, b = spec.domain
     g, k = spec.grid_size, spec.degree
     h = (b - a) / g
-    knots = make_knots(spec).astype(x3.dtype)
-    xc = np.clip(x3, a, b)
+    s = (np.clip(x3, a, b) - a) / h
+    # x = b folds into the last interval.  fmin/fmax send NaN to G - 1, so
+    # a NaN input writes only its own entries; u carries the NaN there.
+    iv = np.floor(np.fmax(np.fmin(s, g - 1), 0))
+    u = s - iv
 
-    # Degree-0 table as a one-hot over intervals; the half-open convention
-    # [t_i, t_{i+1}) is realised by the floor, with x = b folded into the
-    # last interior interval.
-    iv = np.floor((xc - a) / h).astype(np.int64)
-    np.clip(iv, 0, g - 1, out=iv)
-    iv += k
-    m = knots.shape[0] - 1
-    cur = (iv[:, None] == np.arange(m).reshape(1, m, 1, 1)).astype(x3.dtype)
+    # N_0 = [1]; written as u * 0 + 1 so that a NaN input still reaches
+    # its row at degree 0.
+    nfun = [u * 0 + 1]
+    for d in range(1, k + 1):
+        prev, nfun = nfun, []
+        carry = 0
+        for r in range(d):
+            term = prev[r] / d
+            nfun.append(carry + (r + 1 - u) * term)
+            carry = (u + (d - 1 - r)) * term
+        nfun.append(carry)
 
-    prev = None
-    for lvl in range(1, k + 1):
-        nfun = cur.shape[1] - 1
-        t_i = knots[:nfun].reshape(1, nfun, 1, 1)
-        t_ik1 = knots[lvl + 1:lvl + 1 + nfun].reshape(1, nfun, 1, 1)
-        denom = x3.dtype.type(lvl * h)
-        left = (xc[:, None] - t_i) / denom * cur[:, :nfun]
-        left += (t_ik1 - xc[:, None]) / denom * cur[:, 1:]
-        if want_prev and lvl == k:
-            prev = cur
-        cur = left
-    return cur, prev
+    t, n, p = x3.shape
+    nb, npix = spec.basis_count, n * p
+    # Flat index of table entry (t, iv + r, j, q): t*nb*npix + j*p + q
+    # + (iv + r)*npix, advanced by npix per r.
+    idx = iv.astype(np.intp)
+    idx *= npix
+    idx += (np.arange(t) * (nb * npix))[:, None, None]
+    idx += np.arange(npix).reshape(n, p)
+    val = np.zeros((t, nb, n, p), dtype=x3.dtype)
+    der = np.zeros_like(val) if want_deriv else None
+    # d/dx B_iv+r = (N_K-1[r-1] - N_K-1[r]) / h, masked to [a, b] per pixel.
+    scale = _inside(x3, spec) / x3.dtype.type(h) if want_deriv and k else None
+    for r in range(k + 1):
+        val.reshape(-1)[idx] = nfun[r]
+        if scale is not None:
+            lo = prev[r - 1] if r else 0
+            hi = prev[r] if r < k else 0
+            der.reshape(-1)[idx] = (lo - hi) * scale
+        idx += npix
+    return val, der
 
 
 def _rbf(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
@@ -165,7 +193,12 @@ def _rbf(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
     xc = np.clip(x3, *spec.domain)
     t, n, p = x3.shape
     val = np.empty((t, spec.grid_size, n, p), dtype=dtype)
-    der = np.empty_like(val) if want_deriv else None
+    der = None
+    if want_deriv:
+        der = np.empty_like(val)
+        # The clamp mask rides on the per-pixel factor, so the derivative
+        # is 0 outside [a, b].
+        scale = _inside(x3, spec) * scale
     for m, c in enumerate(rbf_centers(spec).astype(dtype)):
         u = (xc - c) * inv_h
         np.exp(-(u * u), out=val[:, m])
@@ -177,7 +210,7 @@ def _rbf(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
 def basis_block(x3: np.ndarray, spec: SplineSpec) -> np.ndarray:
     """Evaluate all basis functions over [T, n, P]; returns [T, B, n, P]."""
     if spec.family is BasisFamily.BSPLINE:
-        return _bspline_levels(x3, spec, want_prev=False)[0]
+        return _bspline(x3, spec, want_deriv=False)[0]
     return _rbf(x3, spec, want_deriv=False)[0]
 
 
@@ -187,19 +220,9 @@ def basis_and_deriv_block(x3: np.ndarray, spec: SplineSpec):
     The derivative is taken after clamping, so it is 0 wherever the input
     fell outside the domain.
     """
-    a, b = spec.domain
-    inside = ((x3 >= a) & (x3 <= b)).astype(x3.dtype)
     if spec.family is BasisFamily.BSPLINE:
-        cur, prev = _bspline_levels(x3, spec, want_prev=True)
-        if spec.degree == 0:
-            return cur, np.zeros_like(cur)
-        h = (b - a) / spec.grid_size
-        nb = cur.shape[1]
-        deriv = (prev[:, :nb] - prev[:, 1:nb + 1]) / x3.dtype.type(h)
-    else:
-        cur, deriv = _rbf(x3, spec, want_deriv=True)
-    deriv *= inside[:, None]
-    return cur, deriv
+        return _bspline(x3, spec, want_deriv=True)
+    return _rbf(x3, spec, want_deriv=True)
 
 
 def _as_block(x) -> tuple[np.ndarray, tuple]:

@@ -283,6 +283,37 @@ class TestMaxPool:
         np.testing.assert_array_equal(fast.backward(dout), dx9[:, :, :8, :8])
         assert not dx9[:, :, 8].any() and not dx9[:, :, :, 8].any()
 
+    @staticmethod
+    def _window_argmax(x, wh, ww, stride):
+        """Row-major first argmax of each window, over an explicitly built
+        [N, C, Ho, Wo, wh*ww] window array."""
+        n, c, h, w = x.shape
+        ho, wo = (h - wh) // stride + 1, (w - ww) // stride + 1
+        win = np.empty((n, c, ho, wo, wh * ww), dtype=x.dtype)
+        for i in range(ho):
+            for j in range(wo):
+                win[:, :, i, j] = x[:, :, i * stride:i * stride + wh,
+                                    j * stride:j * stride + ww].reshape(n, c, -1)
+        return win.argmax(axis=-1)
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (3, 1)])
+    def test_idx_is_first_argmax_on_ties(self, window, stride, rng):
+        # ReLU of values rounded to 0.1: ties, zero and positive, everywhere
+        x = np.maximum(np.round(rng.standard_normal((3, 2, 9, 8)), 1), 0.0)
+        lyr = MaxPool2D(window, stride=stride)
+        out = lyr.forward(x)
+        np.testing.assert_array_equal(
+            lyr._cache[1], self._window_argmax(x, window, window, stride))
+        assert lyr.forward(x, training=False).tobytes() == out.tobytes()
+
+    def test_1d_idx_is_first_argmax_on_ties(self, rng):
+        x = np.maximum(np.round(rng.standard_normal((3, 2, 11)), 1), 0.0)
+        lyr = MaxPool1D(3)
+        out = lyr.forward(x)
+        np.testing.assert_array_equal(
+            lyr._cache[1], self._window_argmax(x[:, :, None], 1, 3, 3))
+        assert lyr.forward(x, training=False).tobytes() == out.tobytes()
+
     def test_zero_macs(self):
         assert MaxPool2D(2).mac_count((3, 8, 8)) == 0
 

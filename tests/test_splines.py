@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ckanbench.errors import ConfigError
 from ckanbench.splines import (BasisFamily, SplineSpec, basis_and_deriv_block,
-                               basis_deriv, basis_eval, bspline_spec,
-                               make_knots, rbf_bandwidth, rbf_centers,
-                               rbf_spec)
+                               basis_block, basis_deriv, basis_eval,
+                               bspline_spec, make_knots, rbf_bandwidth,
+                               rbf_centers, rbf_spec)
 
 
 class TestSpecValidation:
@@ -197,3 +197,128 @@ class TestDerivatives:
                             val[t, :, n, p], basis_eval(float(x3[t, n, p]), spec))
                         np.testing.assert_array_equal(
                             der[t, :, n, p], basis_deriv(float(x3[t, n, p]), spec))
+
+
+def _oracle_rows(xs, spec):
+    a, b = spec.domain
+    return np.array([oracles.basis_all_scalar(float(x), spec.family.value,
+                                              spec.grid_size, spec.degree,
+                                              (a, b)) for x in xs])
+
+
+def _edge_points(spec):
+    """Every knot, both domain ends and a point one beyond each end."""
+    a, b = spec.domain
+    return np.concatenate([make_knots(spec), [a, b, a - 1.0, b + 1.0]])
+
+
+class TestEdges:
+    """The local B-spline evaluation at knots, ends, K > G and in blocks
+    whose rows the scatter must not mix up."""
+
+    # h = (b - a) / G is a power of two, so every knot is exact.
+    EXACT = [bspline_spec(8, 2, (-2.0, 2.0)), bspline_spec(4, 3, (0.0, 1.0))]
+    K_ABOVE_G = [bspline_spec(1, k, (-1.0, 1.0)) for k in range(5)]
+
+    @pytest.mark.parametrize("spec", EXACT + K_ABOVE_G)
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_block_matches_oracle_at_knots_and_ends(self, spec, dtype, tol):
+        xs = _edge_points(spec).astype(dtype)
+        a, b = spec.domain
+        xs = np.concatenate([xs, np.linspace(a - 0.5, b + 0.5, 17, dtype=dtype)])
+        x3 = xs.reshape(1, 1, -1)
+        val = basis_block(x3, spec)
+        assert val.dtype == dtype and val.shape == (1, spec.basis_count, 1, xs.size)
+        np.testing.assert_allclose(val[0, :, 0].T, _oracle_rows(xs, spec),
+                                   rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_multi_row_block_matches_oracle(self, p, rng):
+        spec = bspline_spec(4, 3, (0.0, 1.0))
+        x3 = rng.uniform(-0.5, 1.5, (3, 2, p))
+        val = basis_block(x3, spec)
+        for t in range(3):
+            for n in range(2):
+                np.testing.assert_allclose(val[t, :, n].T,
+                                           _oracle_rows(x3[t, n], spec),
+                                           rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=st.integers(1, 12), k=st.integers(0, 4),
+           x=st.floats(-5, 5, allow_nan=False))
+    def test_matches_oracle_property(self, g, k, x):
+        spec = bspline_spec(g, k)
+        # Degree 0 jumps at each knot, and within rounding of one (x - a) / h
+        # may fall on either side.  The exact-knot cases above pin it there.
+        assume(k > 0 or np.abs(make_knots(spec) - x).min() > 1e-9)
+        np.testing.assert_allclose(basis_eval(x, spec), _oracle_rows([x], spec)[0],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", EXACT + K_ABOVE_G[1:])
+    def test_derivative_matches_central_differences_off_knots(self, spec):
+        knots = make_knots(spec)
+        a, b = spec.domain
+        h = (b - a) / spec.grid_size
+        inner = knots[spec.degree:spec.degree + spec.grid_size]
+        xs = (inner[:, None] + h * np.array([0.1, 0.37, 0.5, 0.83])).ravel()
+        eps = 1e-7
+        fd = (basis_eval(xs + eps, spec) - basis_eval(xs - eps, spec)) / (2 * eps)
+        np.testing.assert_allclose(basis_deriv(xs, spec), fd, rtol=1e-6, atol=1e-6)
+        outside = basis_deriv(np.array([a - 1.0, b + 1.0]), spec)
+        np.testing.assert_array_equal(outside, np.zeros_like(outside))
+
+
+class TestNonFinite:
+    """NaN and +-inf mixed into a finite block: nothing raises, and no
+    element's entries leak into another's."""
+
+    @pytest.mark.parametrize("spec", [bspline_spec(5, 3), bspline_spec(1, 4),
+                                      bspline_spec(4, 0), rbf_spec(4)],
+                             ids=["bspline-5-3", "bspline-1-4", "bspline-4-0", "rbf-4"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_mixed_block(self, spec, dtype, p, rng):
+        a, b = spec.domain
+        x3 = rng.uniform(a - 0.5, b + 0.5, (2, 3, p)).astype(dtype)
+        x3[0, 1, 0], x3[1, 0, p - 1], x3[1, 2, 1] = np.nan, np.inf, -np.inf
+        x3[0, 2, p - 1] = np.nan
+        val, der = basis_and_deriv_block(x3, spec)
+        assert np.array_equal(basis_block(x3, spec), val, equal_nan=True)
+
+        def alone(x):
+            v, d = basis_and_deriv_block(np.full((1, 1, 1), x, dtype), spec)
+            return v[0, :, 0, 0], d[0, :, 0, 0]
+
+        for t, n, q in np.ndindex(*x3.shape):
+            x = x3[t, n, q]
+            if np.isnan(x):
+                assert np.isnan(val[t, :, n, q]).any()
+                continue
+            v, d = alone(x if np.isfinite(x) else (b if x > 0 else a))
+            assert val[t, :, n, q].tobytes() == v.tobytes()
+            if np.isfinite(x):
+                assert der[t, :, n, q].tobytes() == d.tobytes()
+            else:
+                np.testing.assert_array_equal(der[t, :, n, q], 0)
+
+
+def test_rbf_clamp_mask_matches_full_table_mask(rng):
+    """The RBF derivative masks per pixel; the values and derivatives equal
+    those of masking the whole [T, B, n, P] table."""
+    for dtype in (np.float32, np.float64):
+        spec = rbf_spec(5)
+        x3 = rng.uniform(-3.0, 3.0, (3, 2, 7)).astype(dtype)
+        val, der = basis_and_deriv_block(x3, spec)
+        xc = np.clip(x3, *spec.domain)
+        inv_h = dtype(1.0) / dtype(rbf_bandwidth(spec))
+        want_v = np.empty_like(val)
+        want_d = np.empty_like(val)
+        for m, c in enumerate(rbf_centers(spec).astype(dtype)):
+            u = (xc - c) * inv_h
+            want_v[:, m] = np.exp(-(u * u))
+            want_d[:, m] = want_v[:, m] * u * (dtype(-2.0) * inv_h)
+        inside = ((x3 >= -2.0) & (x3 <= 2.0)).astype(dtype)
+        want_d *= inside[:, None]
+        assert np.array_equal(val, want_v) and np.array_equal(der, want_d)
+        outside = inside == 0
+        assert outside.any() and not np.moveaxis(der, 1, -1)[outside].any()

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from ckanbench.data import synthetic_blobs
+from ckanbench.data import Dataset, synthetic_blobs
 from ckanbench.errors import ConfigError, DimensionError
 from ckanbench.layers import Activation, Linear
-from ckanbench.models import ModelGraph
+from ckanbench.models import ModelGraph, build_lenet_kan
+from ckanbench.splines import bspline_spec
 from ckanbench.training import (AdamConfig, AdamState, EarlyStopper,
                                 adam_init, adam_step, bce_multilabel,
                                 evaluate_model, fit, softmax_cross_entropy)
@@ -220,6 +221,15 @@ class TestFit:
         res = fit(model, train, val, epochs=10, batch_size=32, seed=8)
         assert res.report.status == "failed"
         assert len(res.report.epochs) == 1
+
+    def test_nan_into_bspline_basis_marks_failed(self, rng):
+        # A NaN base weight in kconv1 sends NaN through kconv2's basis.
+        train = Dataset(rng.standard_normal((16, 1, 28, 28)).astype(np.float32),
+                        rng.integers(0, 10, 16))
+        model = build_lenet_kan(bspline_spec(), dtype=np.float32)
+        model.layers[0].w_base[0, 0, 2, 2] = np.nan
+        res = fit(model, train, train, epochs=2, batch_size=8, seed=1)
+        assert res.report.status == "failed"
 
     def test_epoch_end_hook_runs_each_epoch(self):
         train, val = self._blob_data()
