@@ -2,21 +2,23 @@
 
 The default grid is 3 grid sizes x 2 width multipliers x ReLU on/off x
 prune ratio {0, 0.25} = 24 cells, enumerated lexicographically in
-(g, w, relu, p) with the list order given by the config.  Every cell
-trains the spline-kernel model from the same seed, optionally prunes and
-fine-tunes, then records validation loss/accuracy, parameter count,
-per-sample MACs, median forward latency, and wall time.
+(g, w, relu, p) with the list order given by the config.  The cells that
+share (g, w, relu) share one base: the spline-kernel model is trained
+once from the seed, and each prune level branches from the base's best
+state (pruned and fine-tuned when p > 0), in ``prune_ratios`` order.
+Every cell records validation loss/accuracy, parameter count, per-sample
+MACs, median forward latency, and wall time.
 
-A diverged cell (non-finite loss) or one that raises is recorded with
-status ``failed`` and does not abort the sweep; ``summary.json`` lists
-each failed cell's index and reason under ``failures``.  With worker
-processes, latency profiling is serialised behind a lock so timings
-never overlap; reports are always merged in grid order.
+A diverged base fails every cell of that base; a diverged fine-tune (or
+an exception) fails only the cell it reaches.  A failed cell does not
+abort the sweep, and ``summary.json`` lists each failed cell's index and
+reason under ``failures``.  Latency is measured after all training has
+finished, serially in the calling process, so no timing overlaps a
+worker's training; reports are always merged in grid order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -25,7 +27,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .errors import ConfigError
 from .evaluation import (finetune_pruned, latency_profile, prune_channels_l2)
 from .models import build_lenet_kan_full
 from .splines import SplineSpec, bspline_spec, rbf_spec
-from .training import EarlyStopper, evaluate_model, fit
+from .training import EarlyStopper, FitResult, evaluate_model, fit
 
 RUNS_COLUMNS = ["g", "w", "relu", "p", "val_loss", "val_acc", "params",
                 "macs", "latency_ms", "wall_s", "status"]
@@ -170,22 +172,47 @@ class CellResult:
     reason: str | None = None
 
 
+def _build_model(cell: SweepCell, cfg: SweepConfig):
+    return build_lenet_kan_full(cfg.spline_spec(cell.g), cell.w, cell.relu,
+                                seed=cfg.seed)
+
+
+def train_base(cell: SweepCell, cfg: SweepConfig, train: Dataset,
+               val: Dataset, verbose: bool = False) -> FitResult:
+    """Train the base model that every prune level of ``cell``'s
+    (g, w, relu) branches from."""
+    return fit(_build_model(cell, cfg), train, val, epochs=cfg.epochs,
+               batch_size=cfg.batch_size, lr=cfg.lr,
+               stopper=EarlyStopper(cfg.early_stop_tolerance),
+               seed=cfg.seed, verbose=verbose)
+
+
 def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
-             profile_lock=None, verbose: bool = False) -> CellResult:
+             base: FitResult | None = None,
+             verbose: bool = False) -> tuple[CellResult, dict | None]:
+    """Branch one cell from ``base``, training it first when none is given.
+
+    The base's best state is pruned by ``cell.p`` and fine-tuned when
+    p > 0, then evaluated and counted.  Returns the result, whose
+    ``wall_s`` counts the base's training, and the cell's best state
+    (None when it failed).  Latency is left to ``run_sweep``.
+    """
+    if base is None:
+        base = train_base(cell, cfg, train, val, verbose)
     t0 = time.perf_counter()
-    spec = cfg.spline_spec(cell.g)
-    model = build_lenet_kan_full(spec, cell.w, cell.relu, seed=cfg.seed)
     result = CellResult(cell=cell)
-    fitres = fit(model, train, val, epochs=cfg.epochs,
-                 batch_size=cfg.batch_size, lr=cfg.lr,
-                 stopper=EarlyStopper(cfg.early_stop_tolerance),
-                 seed=cfg.seed, verbose=verbose)
-    if fitres.report.status != "ok":
+
+    def failed(reason: str):
         result.status = "failed"
-        result.reason = "training diverged: non-finite loss"
-        result.wall_s = time.perf_counter() - t0
-        return result
-    model.load_state(fitres.best_state)
+        result.reason = reason
+        result.wall_s = base.report.wall_s + time.perf_counter() - t0
+        return result, None
+
+    if base.report.status != "ok":
+        return failed("training diverged: non-finite loss")
+    state = base.best_state
+    model = _build_model(cell, cfg)
+    model.load_state(state)
     if cell.p > 0.0:
         mask = prune_channels_l2(model, cell.p)
         ft = finetune_pruned(model, mask, train, val,
@@ -193,52 +220,90 @@ def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
                              batch_size=cfg.batch_size, lr=cfg.lr,
                              seed=cfg.seed + 1, verbose=verbose)
         if ft.report.status != "ok":
-            result.status = "failed"
-            result.reason = "fine-tuning diverged: non-finite loss"
-            result.wall_s = time.perf_counter() - t0
-            return result
-        model.load_state(ft.best_state)
+            return failed("fine-tuning diverged: non-finite loss")
+        state = ft.best_state
+        model.load_state(state)
     val_loss, val_acc = evaluate_model(model, val)
     result.val_loss = float(val_loss)
     result.val_acc = float(val_acc)
     result.params = int(model.param_count())
     result.macs = int(model.mac_count())
-    with profile_lock if profile_lock is not None else contextlib.nullcontext():
-        prof = latency_profile(model, cfg.latency_batch, cfg.latency_warmup,
-                               cfg.latency_iters)
-    result.latency_ms = prof.median_ms
-    result.wall_s = time.perf_counter() - t0
-    return result
+    result.wall_s = base.report.wall_s + time.perf_counter() - t0
+    return result, state
 
 
-def _run_cell_isolated(cell: SweepCell, cfg: SweepConfig, train: Dataset,
-                       val: Dataset, profile_lock=None,
-                       verbose: bool = False) -> CellResult:
-    """``run_cell``, with an exception turned into a failed cell that
-    names it, so one crashing cell never loses the others' reports."""
+def _failed(cell: SweepCell, exc: Exception, wall_s: float) -> CellResult:
+    """A failed cell naming ``exc``, so one crash never loses the others'
+    reports."""
+    traceback.print_exc(file=sys.stderr)
+    return CellResult(cell=cell, status="failed",
+                      reason=f"{type(exc).__name__}: {exc}", wall_s=wall_s)
+
+
+def _run_base(cells: list[SweepCell], cfg: SweepConfig, train: Dataset,
+              val: Dataset, verbose: bool = False) -> list[tuple]:
+    """Train the base the cells share once, then run every cell from it,
+    returning ``run_cell``'s (result, state) pair per cell.  A training
+    exception fails every cell; a branch's fails only its own."""
     t0 = time.perf_counter()
     try:
-        return run_cell(cell, cfg, train, val, profile_lock, verbose)
+        base = train_base(cells[0], cfg, train, val, verbose)
     except Exception as exc:
-        traceback.print_exc(file=sys.stderr)
-        return CellResult(cell=cell, status="failed",
-                          reason=f"{type(exc).__name__}: {exc}",
-                          wall_s=time.perf_counter() - t0)
+        wall_s = time.perf_counter() - t0
+        return [(_failed(cell, exc, wall_s), None) for cell in cells]
+    runs = []
+    for cell in cells:
+        t1 = time.perf_counter()
+        try:
+            runs.append(run_cell(cell, cfg, train, val, base, verbose))
+        except Exception as exc:
+            wall_s = base.report.wall_s + time.perf_counter() - t1
+            runs.append((_failed(cell, exc, wall_s), None))
+        if verbose:
+            res = runs[-1][0]
+            print(f"cell {cell.index}: g={cell.g} w={cell.w} "
+                  f"relu={'on' if cell.relu else 'off'} p={cell.p} "
+                  f"-> {res.status} acc={res.val_acc}")
+    return runs
+
+
+def _profile_latency(runs: list[tuple], cfg: SweepConfig) -> list[CellResult]:
+    """Time every ok cell's forward from its state, in grid order, on one
+    model per base.  ``load_state`` also restores the channel masks, so
+    a pruned branch never leaks into the next."""
+    results = []
+    model = key = None
+    for res, state in runs:
+        if res.status == "ok":
+            cell = res.cell
+            t0 = time.perf_counter()
+            try:
+                if key != (cell.g, cell.w, cell.relu):
+                    model = _build_model(cell, cfg)
+                    key = (cell.g, cell.w, cell.relu)
+                model.load_state(state)
+                prof = latency_profile(model, cfg.latency_batch,
+                                       cfg.latency_warmup, cfg.latency_iters)
+                res.latency_ms = prof.median_ms
+                res.wall_s += time.perf_counter() - t0
+            except Exception as exc:
+                res = _failed(cell, exc,
+                              res.wall_s + time.perf_counter() - t0)
+        results.append(res)
+    return results
 
 
 _WORKER: dict = {}
 
 
-def _init_worker(cfg, train, val, lock):
+def _init_worker(cfg, train, val):
     _WORKER["cfg"] = cfg
     _WORKER["train"] = train
     _WORKER["val"] = val
-    _WORKER["lock"] = lock
 
 
-def _run_cell_in_worker(cell: SweepCell) -> CellResult:
-    return _run_cell_isolated(cell, _WORKER["cfg"], _WORKER["train"],
-                              _WORKER["val"], profile_lock=_WORKER["lock"])
+def _run_base_in_worker(cells: list[SweepCell]) -> list[tuple]:
+    return _run_base(cells, _WORKER["cfg"], _WORKER["train"], _WORKER["val"])
 
 
 def run_sweep(cfg: SweepConfig, train: Dataset, val: Dataset, out_dir: str,
@@ -249,20 +314,16 @@ def run_sweep(cfg: SweepConfig, train: Dataset, val: Dataset, out_dir: str,
     cells = enumerate_grid(cfg)
     if cfg.subset:
         train = subset_dataset(train, cfg.subset, cfg.seed)
+    # p varies fastest, so each run of len(prune_ratios) cells is one base
+    n = len(cfg.prune_ratios)
+    bases = [cells[i:i + n] for i in range(0, len(cells), n)]
     if workers <= 1:
-        results = []
-        for cell in cells:
-            res = _run_cell_isolated(cell, cfg, train, val, verbose=verbose)
-            if verbose:
-                print(f"cell {cell.index}: g={cell.g} w={cell.w} "
-                      f"relu={'on' if cell.relu else 'off'} p={cell.p} "
-                      f"-> {res.status} acc={res.val_acc}")
-            results.append(res)
+        per_base = [_run_base(b, cfg, train, val, verbose) for b in bases]
     else:
         ctx = mp.get_context("fork")
-        lock = ctx.Lock()
-        with ctx.Pool(workers, _init_worker, (cfg, train, val, lock)) as pool:
-            results = pool.map(_run_cell_in_worker, cells, chunksize=1)
+        with ctx.Pool(workers, _init_worker, (cfg, train, val)) as pool:
+            per_base = pool.map(_run_base_in_worker, bases, chunksize=1)
+    results = _profile_latency([run for runs in per_base for run in runs], cfg)
     emit_reports(results, out_dir)
     return results
 

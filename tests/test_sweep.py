@@ -10,11 +10,13 @@ import pytest
 
 from ckanbench.data import load_mnist_dir, subset_dataset
 from ckanbench.errors import ConfigError
+from ckanbench.models import build_lenet_kan_full
 from ckanbench.sweep import (CellResult, SweepCell, SweepConfig,
                              default_sweep_config, enumerate_grid,
                              load_runs_csv, normalize_radar,
                              parse_sweep_config, run_cell, run_sweep,
                              validate_sweep_config, RUNS_COLUMNS)
+from ckanbench.training import FitResult, RunReport
 
 
 class TestGridEnumeration:
@@ -225,22 +227,39 @@ class TestRunCell:
         train, val = digit_train_val
         cfg = _tiny_sweep_cfg()
         cell = enumerate_grid(cfg)[0]
-        res = run_cell(cell, cfg, subset_dataset(train, 300, seed=0), val)
+        res, state = run_cell(cell, cfg, subset_dataset(train, 300, seed=0),
+                              val)
         assert res.status == "ok"
         assert res.params is not None and res.macs is not None
-        assert res.latency_ms is not None and res.latency_ms > 0
         assert res.wall_s > 0
         assert 0.0 <= res.val_acc <= 1.0
+        # latency is measured by run_sweep's pass, from the returned state
+        assert res.latency_ms is None
+        assert state["kconv1.channel_mask"].all()
 
     def test_pruned_cell_smaller_than_unpruned(self, digit_train_val):
         train, val = digit_train_val
         cfg = _tiny_sweep_cfg()
         sub = subset_dataset(train, 300, seed=0)
-        plain = run_cell(enumerate_grid(cfg)[0], cfg, sub, val)
-        pruned = run_cell(enumerate_grid(cfg)[1], cfg, sub, val)
+        plain, _ = run_cell(enumerate_grid(cfg)[0], cfg, sub, val)
+        pruned, state = run_cell(enumerate_grid(cfg)[1], cfg, sub, val)
         assert plain.cell.p == 0.0 and pruned.cell.p == 0.4
         assert pruned.params < plain.params
         assert pruned.macs < plain.macs
+        assert not state["kconv1.channel_mask"].all()
+
+
+def _record_calls(monkeypatch, calls, *names):
+    """Wrap each named ``ckanbench.sweep`` function to log its calls."""
+    import ckanbench.sweep as sweep_mod
+    for name in names:
+        orig = getattr(sweep_mod, name)
+
+        def wrapped(*args, _name=name, _orig=orig, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, name, wrapped)
 
 
 class TestRunSweep:
@@ -252,9 +271,11 @@ class TestRunSweep:
         assert len(results) == 4
         assert [r.cell.index for r in results] == [0, 1, 2, 3]
         assert all(r.status == "ok" for r in results)
+        assert all(r.latency_ms > 0 for r in results)
 
         rows = load_runs_csv(os.path.join(out, "runs.csv"))
         assert len(rows) == 4
+        assert all(float(r["latency_ms"]) > 0 for r in rows)
         # MACs strictly increase with the grid size at fixed (w, relu, p)
         macs_g1 = int(rows[0]["macs"])
         macs_g2 = int(rows[2]["macs"])
@@ -266,6 +287,39 @@ class TestRunSweep:
             assert os.path.exists(os.path.join(out, name))
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["n_cells"] == 4 and summary["n_failed"] == 0
+
+    def test_shared_base_equals_per_cell_training(self, tmp_path, monkeypatch,
+                                                  digit_train_val):
+        train, val = digit_train_val
+        cfg = _tiny_sweep_cfg()
+        calls = []
+        _record_calls(monkeypatch, calls, "fit")
+        swept = run_sweep(cfg, train, val, str(tmp_path / "sweep"), workers=1)
+        # 2 bases x 2 prune levels: one training per base, not per cell
+        assert calls == ["fit", "fit"]
+        sub = subset_dataset(train, cfg.subset, cfg.seed)
+        for res in swept:
+            alone, _ = run_cell(res.cell, cfg, sub, val)
+            for col in ("status", "val_loss", "val_acc", "params", "macs"):
+                assert getattr(res, col) == getattr(alone, col), col
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_latency_measured_after_training_in_parent(
+            self, tmp_path, monkeypatch, digit_train_val, workers):
+        train, val = digit_train_val
+        cfg = _tiny_sweep_cfg()
+        calls = []
+        # forked workers log into their own copy of ``calls``
+        _record_calls(monkeypatch, calls, "fit", "latency_profile")
+        results = run_sweep(cfg, train, val, str(tmp_path / "sweep"),
+                            workers=workers)
+        n_ok = sum(r.status == "ok" for r in results)
+        assert n_ok == 4
+        assert calls.count("latency_profile") == n_ok
+        if workers == 1:
+            assert calls == ["fit"] * 2 + ["latency_profile"] * n_ok
+        else:
+            assert "fit" not in calls
 
     @pytest.mark.slow
     def test_fork_pool_matches_serial_counts(self, tmp_path, digit_train_val):
@@ -279,7 +333,29 @@ class TestRunSweep:
             assert a.status == b.status == "ok"
             # training is deterministic, so counts and losses agree exactly
             assert a.params == b.params and a.macs == b.macs
-            assert a.val_loss == pytest.approx(b.val_loss, abs=1e-12)
+            assert a.val_loss == b.val_loss
+        timed = ("wall_s", "latency_ms")
+        rows_s = load_runs_csv(str(tmp_path / "s" / "runs.csv"))
+        rows_f = load_runs_csv(str(tmp_path / "f" / "runs.csv"))
+        assert [{k: v for k, v in r.items() if k not in timed}
+                for r in rows_s] == \
+               [{k: v for k, v in r.items() if k not in timed}
+                for r in rows_f]
+
+
+def _fake_base(cell, cfg, train, val, verbose=False):
+    """A ``train_base`` stand-in that never reads the data: the untrained
+    model's state, so the latency pass can still load it."""
+    model = build_lenet_kan_full(cfg.spline_spec(cell.g), cell.w, cell.relu,
+                                 seed=cfg.seed)
+    return FitResult(RunReport(model=model.name, task="classify", epochs=[]),
+                     model.state_dict())
+
+
+def _fake_cell(cell, cfg, train, val, base=None, verbose=False):
+    return (CellResult(cell=cell, val_loss=0.5, val_acc=0.9, params=10,
+                       macs=100, wall_s=0.1),
+            base.best_state)
 
 
 class TestCellFailureIsolation:
@@ -288,19 +364,18 @@ class TestCellFailureIsolation:
                                               workers):
         import ckanbench.sweep as sweep_mod
 
-        def fake_run_cell(cell, cfg, train, val, profile_lock=None,
-                          verbose=False):
+        def fake_run_cell(cell, cfg, train, val, base=None, verbose=False):
             if cell.index == 0:
                 raise RuntimeError("cell exploded")
-            return CellResult(cell=cell, val_loss=0.5, val_acc=0.9,
-                              params=10, macs=100, latency_ms=1.0, wall_s=0.1)
+            return _fake_cell(cell, cfg, train, val, base, verbose)
 
-        # the fork pool's workers inherit the patched module attribute
+        # the fork pool's workers inherit the patched module attributes
         monkeypatch.setattr(sweep_mod, "run_cell", fake_run_cell)
+        monkeypatch.setattr(sweep_mod, "train_base", _fake_base)
         cfg = _tiny_sweep_cfg(grid_sizes=[1], prune_ratios=[0.0, 0.4],
                               subset=None)
         out = str(tmp_path / "sweep")
-        # the fake cells never read the data
+        # the fakes never read the data
         results = run_sweep(cfg, None, None, out, workers=workers)
         assert [r.status for r in results] == ["failed", "ok"]
         for name in ("runs.csv", "frontier.csv", "radar.csv", "summary.json"):
@@ -312,3 +387,47 @@ class TestCellFailureIsolation:
         assert summary["n_ok"] == 1 and summary["n_failed"] == 1
         assert summary["failures"] == [
             {"index": 0, "reason": "RuntimeError: cell exploded"}]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_base_fails_only_its_cells(self, tmp_path, monkeypatch,
+                                               workers):
+        import ckanbench.sweep as sweep_mod
+
+        def fake_train_base(cell, cfg, train, val, verbose=False):
+            if cell.g == 1:
+                raise RuntimeError("base exploded")
+            return _fake_base(cell, cfg, train, val, verbose)
+
+        monkeypatch.setattr(sweep_mod, "run_cell", _fake_cell)
+        monkeypatch.setattr(sweep_mod, "train_base", fake_train_base)
+        cfg = _tiny_sweep_cfg(grid_sizes=[1, 2], subset=None)
+        out = str(tmp_path / "sweep")
+        results = run_sweep(cfg, None, None, out, workers=workers)
+        assert [r.status for r in results] == ["failed", "failed", "ok", "ok"]
+        assert all(r.latency_ms > 0 for r in results[2:])
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["failures"] == [
+            {"index": i, "reason": "RuntimeError: base exploded"}
+            for i in (0, 1)]
+
+    def test_raising_profile_fails_only_its_cell(self, tmp_path, monkeypatch):
+        import ckanbench.sweep as sweep_mod
+        real_profile = sweep_mod.latency_profile
+        profiled = []
+
+        def fake_profile(model, *args):
+            profiled.append(model)
+            if len(profiled) == 1:
+                raise MemoryError("no room")
+            return real_profile(model, *args)
+
+        monkeypatch.setattr(sweep_mod, "run_cell", _fake_cell)
+        monkeypatch.setattr(sweep_mod, "train_base", _fake_base)
+        monkeypatch.setattr(sweep_mod, "latency_profile", fake_profile)
+        cfg = _tiny_sweep_cfg(grid_sizes=[1], subset=None)
+        results = run_sweep(cfg, None, None, str(tmp_path / "sweep"))
+        assert [r.status for r in results] == ["failed", "ok"]
+        assert results[0].val_loss is None and results[1].latency_ms > 0
+        assert results[0].reason == "MemoryError: no room"
+        # both cells of the base are profiled on one model
+        assert profiled[0] is profiled[1]
