@@ -13,24 +13,31 @@ layer with a learnable scalar function
 
 so each edge carries B + 3 parameters (B spline coefficients, the base
 weight w_b, the spline gain w_s, and the shift t).  By that identity a
-KAN convolution is a classical one over the C*(B+1)-channel map
+KAN layer is its classical layer over the C*(B+1)-channel map
 [act(x), basis_1(x), ..., basis_B(x)] with the folded weights
 [w_b, w_s * c] and the shifts summed into the bias.
 
-Every convolution, classical or spline-kernel, shares one forward and
-one backward: zero-pad the input, map it (the identity for ``Conv2D``,
-the per-pixel basis expansion for a KAN layer), then convolve the map
-with the layer's kernel in blocks of samples.  A stride-1 kernel more
-than one row high builds no columns: each block is laid out
-channel-major as one flat array in which every kernel tap is a
-contiguous slice, and the forward and input gradient run one GEMM per
-kernel row over those slices, the weight gradient one per tap (blocks
-capped at ``FLAT_BLOCK_BYTES``).  Stride > 1 and one-row kernels (the
-1-D layers, ``KanLinear``) run im2col and one GEMM per block, with the
-block's columns capped at ``BLOCK_BYTES``, and col2im for the input
-gradient.  Training caches the map (for a KAN layer, also its per-pixel
-derivative); backward rebuilds each block from it.  ``KanLinear`` is
-the 1x1 case.
+So ``Linear`` and ``Conv2D`` share one hook protocol: each pass maps
+its input with ``_map`` (the identity), applies the weight [O, K] and
+bias from ``_kernel()``, and in backward hands their gradients to
+``_add_grads`` and chains the map's gradient through ``_map_grad``.
+The spline edges are a mixin that fills those hooks in front of the
+classical class (``KanConv2D`` over ``Conv2D``, ``KanLinear`` over
+``Linear``), with the per-pixel basis expansion as the map and the
+folded edges as the kernel.  A training forward caches the map (for a
+KAN layer, also its per-pixel derivative) and the weight it applied, so
+backward folds no edges again.
+
+A convolution zero-pads its input before the map, then convolves the
+map with the kernel in blocks of samples.  A stride-1 kernel more than
+one row high builds no columns: each block is laid out channel-major as
+one flat array in which every kernel tap is a contiguous slice, and the
+forward and input gradient run one GEMM per kernel row over those
+slices, the weight gradient one per tap (blocks capped at
+``FLAT_BLOCK_BYTES``).  Strided and one-row kernels (the 1-D layers)
+run im2col and one GEMM per block, with the block's columns capped at
+``BLOCK_BYTES``, and col2im for the input gradient; backward rebuilds
+each block from the cached map.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -256,48 +263,92 @@ class MaxPool2D(Layer):
         return (c, ho, wo)
 
 
-class Linear(Layer):
+class _Weighted(Layer):
+    """A classical weighted layer, ``Linear`` or ``Conv2D``: a weight of
+    ``edge_shape``, (O, fan-in axes...), a bias [O], and the classical
+    hooks of the pass protocol (see the module docstring).  The init
+    bound and the counts follow from ``edge_shape`` and ``_taps``."""
+
     param_names = ("weight", "bias")
 
+    @property
+    def edge_shape(self) -> tuple:
+        raise NotImplementedError
+
+    def _taps(self, in_shape) -> int:
+        """Weight taps summed into one output channel of one sample."""
+        raise NotImplementedError
+
+    def _uniform(self, rng) -> np.ndarray:
+        """U(-1/sqrt(fan-in), 1/sqrt(fan-in)) over ``edge_shape``."""
+        shape = self.edge_shape
+        bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
+        return _draw(lambda k: rng.uniform(-bound, bound, k), shape, self.dtype)
+
+    def init_params(self, rng):
+        self.weight = self._uniform(rng)
+        self.bias = np.zeros(self.edge_shape[0], dtype=self.dtype)
+        super().init_params(rng)
+
+    def _map(self, x, training):
+        """The map the kernel is applied to, and what ``_map_grad`` needs."""
+        return x, None
+
+    def _map_grad(self, dmap, aux):
+        return dmap
+
+    def _kernel(self):
+        """Weight [O, K] over the map, and bias [O]."""
+        return self.weight.reshape(self.edge_shape[0], -1), self.bias
+
+    def _add_grads(self, gw, gb) -> None:
+        self.grad["weight"] += gw.reshape(self.weight.shape)
+        self.grad["bias"] += gb
+
+    def param_count(self):
+        return int(np.prod(self.edge_shape)) + self.edge_shape[0]
+
+    def mac_count(self, in_shape):
+        return self.edge_shape[0] * self._taps(in_shape)
+
+
+class Linear(_Weighted):
     def __init__(self, in_features: int, out_features: int, rng=None,
                  dtype=T.DEFAULT_DTYPE, name: str = ""):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
         self.dtype = np.dtype(dtype)
         self.name = name
-        self._x = None
+        self._cache = None
         if rng is not None:
             self.init_params(rng)
 
-    def init_params(self, rng):
-        bound = 1.0 / np.sqrt(self.in_features)
-        shape = (self.out_features, self.in_features)
-        self.weight = _draw(lambda k: rng.uniform(-bound, bound, k), shape, self.dtype)
-        self.bias = np.zeros(self.out_features, dtype=self.dtype)
-        super().init_params(rng)
+    @property
+    def edge_shape(self) -> tuple:
+        return (self.out_features, self.in_features)
+
+    def _taps(self, in_shape) -> int:
+        return self.in_features
 
     def forward(self, x, training=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise DimensionError(f"{self.name or 'linear'}: expected [N,{self.in_features}], got {x.shape}")
+            raise DimensionError(f"{self.name or type(self).__name__}: "
+                                 f"expected [N,{self.in_features}], got {x.shape}")
+        xmap, aux = self._map(x, training)
+        w2, bias = self._kernel()
         if training:
-            self._x = x
-        return x @ self.weight.T + self.bias
+            self._cache = (xmap, aux, w2)
+        return xmap @ w2.T + bias
 
     def backward(self, dout, input_grad=True):
-        x = self._need_cache(self._x)
-        self.grad["weight"] += dout.T @ x
-        self.grad["bias"] += dout.sum(axis=0)
-        return dout @ self.weight if input_grad else None
-
-    def param_count(self):
-        return self.out_features * (self.in_features + 1)
-
-    def mac_count(self, in_shape):
-        return self.in_features * self.out_features
+        xmap, aux, w2 = self._need_cache(self._cache)
+        self._add_grads(dout.T @ xmap, dout.sum(axis=0))
+        return self._map_grad(dout @ w2, aux) if input_grad else None
 
     def output_shape(self, in_shape):
         if tuple(in_shape) != (self.in_features,):
-            raise DimensionError(f"linear expects ({self.in_features},), got {in_shape}")
+            raise DimensionError(f"{type(self).__name__} expects "
+                                 f"({self.in_features},), got {in_shape}")
         return (self.out_features,)
 
 
@@ -501,16 +552,11 @@ def _shift_backward(dout, xp, w2, kh, kw, input_grad):
     return gw, dout.sum(axis=(0, 2, 3), dtype=dtype), dxp
 
 
-class _Conv(Layer):
-    """Geometry and the one forward/backward pass of every convolution.
-
-    The forward checks the channels, zero-pads the input, maps it with
-    ``_map`` and convolves the map with ``_kernel()``.  The backward runs
-    that convolution's backward, hands the weight and bias gradients to
-    ``_add_grads``, chains the map's gradient through ``_map_grad`` and
-    crops the padding.  Subclasses fill in those four hooks; the map is
-    the identity unless overridden.
-    """
+class Conv2D(_Weighted):
+    """Convolution: the forward checks the channels, zero-pads the input,
+    maps it and convolves the map with the kernel; the backward runs that
+    convolution's backward and crops the padding from the input
+    gradient."""
 
     def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
                  stride: int = 1, pad: int = 0, rng=None,
@@ -525,19 +571,9 @@ class _Conv(Layer):
         if rng is not None:
             self.init_params(rng)
 
-    def _map(self, xp, training):
-        """The map the kernel slides over, and what ``_map_grad`` needs."""
-        return xp, None
-
-    def _map_grad(self, dmap, aux):
-        return dmap
-
-    def _kernel(self):
-        """Weight [O, C'*kh*kw] over the C'-channel map, and bias [O]."""
-        raise NotImplementedError
-
-    def _add_grads(self, gw, gb) -> None:
-        raise NotImplementedError
+    @property
+    def edge_shape(self) -> tuple:
+        return (self.out_ch, self.in_ch, self.kh, self.kw)
 
     def forward(self, x, training=True):
         _, c, _, _ = x.shape
@@ -550,20 +586,19 @@ class _Conv(Layer):
         w2, bias = self._kernel()
         out = _conv_forward(xmap, w2, bias, self.kh, self.kw, self.stride)
         if training:
-            self._cache = (xmap, aux)
+            self._cache = (xmap, aux, w2)
         return out
 
     def backward(self, dout, input_grad=True):
-        xmap, aux = self._need_cache(self._cache)
-        gw, gb, dmap = _conv_backward(dout, xmap, self._kernel()[0], self.kh,
-                                      self.kw, self.stride, input_grad)
+        xmap, aux, w2 = self._need_cache(self._cache)
+        gw, gb, dmap = _conv_backward(dout, xmap, w2, self.kh, self.kw,
+                                      self.stride, input_grad)
         self._add_grads(gw, gb)
         if dmap is None:
             return None
         return _crop(self._map_grad(dmap, aux), self.pad)
 
     def _taps(self, in_shape) -> int:
-        """Kernel taps summed into one output channel of one sample."""
         c, h, w = in_shape
         ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
         return ho * wo * c * self.kh * self.kw
@@ -576,73 +611,46 @@ class _Conv(Layer):
         return (self.out_ch, ho, wo)
 
 
-class Conv2D(_Conv):
-    param_names = ("weight", "bias")
-
-    def init_params(self, rng):
-        bound = 1.0 / np.sqrt(self.in_ch * self.kh * self.kw)
-        shape = (self.out_ch, self.in_ch, self.kh, self.kw)
-        self.weight = _draw(lambda k: rng.uniform(-bound, bound, k), shape, self.dtype)
-        self.bias = np.zeros(self.out_ch, dtype=self.dtype)
-        super().init_params(rng)
-
-    def _kernel(self):
-        return self.weight.reshape(self.out_ch, -1), self.bias
-
-    def _add_grads(self, gw, gb):
-        self.grad["weight"] += gw.reshape(self.weight.shape)
-        self.grad["bias"] += gb
-
-    def param_count(self):
-        return self.out_ch * (self.in_ch * self.kh * self.kw + 1)
-
-    def mac_count(self, in_shape):
-        return self.out_ch * self._taps(in_shape)
-
-
-class _KanLayer(_Conv):
-    """Edge parameters and the convolution hooks of the spline-kernel
-    layers: the map is the per-pixel basis expansion and the kernel the
-    folded edge weights.  Each edge term has shape ``edge_shape``,
-    (O, C) + kernel.
+class _SplineEdges:
+    """Spline edges in front of a classical weighted layer (``Linear`` or
+    ``Conv2D``): every weight of its ``edge_shape`` becomes an edge
+    function, whose B + 3 terms each have that shape (the coefficients
+    one more axis of B).  The hooks make the map the per-pixel basis
+    expansion and the kernel the folded edge weights, so the classical
+    layer's own pass runs the spline layer.  ``spec`` and ``base_act``
+    are keyword arguments; the rest go to the classical layer.
     """
 
     param_names = ("coeffs", "w_base", "w_spline", "shift", "bias")
 
-    def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
-                 stride: int = 1, pad: int = 0, spec: SplineSpec = None,
-                 base_act: str = "silu", rng=None,
-                 dtype=T.DEFAULT_DTYPE, name: str = ""):
+    def __init__(self, *args, spec: SplineSpec = None, base_act: str = "silu",
+                 **kwargs):
         if spec is None:
             raise ConfigError(f"{type(self).__name__} requires a SplineSpec")
         self.spec = spec
         self.base_act = base_act
         self.act_fn, self.act_grad_fn = _act_pair(base_act)
-        self.channel_mask = np.ones(int(out_ch), dtype=bool)
-        super().__init__(in_ch, out_ch, kh, kw, stride, pad, rng, dtype, name)
-
-    @property
-    def edge_shape(self) -> tuple:
-        return (self.out_ch, self.in_ch, self.kh, self.kw)
+        super().__init__(*args, **kwargs)
+        self.channel_mask = np.ones(self.edge_shape[0], dtype=bool)
 
     def init_params(self, rng):
         shape, dtype, b = self.edge_shape, self.dtype, self.spec.basis_count
-        bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
-        self.w_base = _draw(lambda k: rng.uniform(-bound, bound, k), shape, dtype)
+        self.w_base = self._uniform(rng)
         self.w_spline = np.ones(shape, dtype=dtype)
         self.coeffs = _draw(lambda k: rng.normal(0.0, 0.1 / np.sqrt(b), k),
                             shape + (b,), dtype)
         self.shift = np.zeros(shape, dtype=dtype)
         self.bias = np.zeros(shape[0], dtype=dtype)
-        super().init_params(rng)
+        # the edges replace the classical weight draw, so skip past it
+        Layer.init_params(self, rng)
 
-    def _map(self, xp, training):
-        """Per-pixel expansion of [N, C, H, W] into the [N, C*(B+1), H, W]
+    def _map(self, x, training):
+        """Per-pixel expansion of [N, C, ...] into the [N, C*(B+1), ...]
         map whose channel c*(B+1) + m holds act(x_c) for m = 0 and
         basis_m(x_c) after it; in training also its elementwise d/dx, as
-        [N*C, B+1, H*W]."""
-        n, c, h, w = xp.shape
-        x3 = xp.reshape(n * c, 1, h * w)
+        [N*C, B+1, pixels]."""
+        n, c = x.shape[:2]
+        x3 = x.reshape(n * c, 1, -1)
         dmap = None
         if training:
             basis, dbasis = basis_and_deriv_block(x3, self.spec)
@@ -650,14 +658,15 @@ class _KanLayer(_Conv):
         else:
             basis = basis_block(x3, self.spec)
         emap = np.concatenate([self.act_fn(x3), basis[:, :, 0]], axis=1)
-        return emap.reshape(n, -1, h, w), dmap
+        return emap.reshape((n, -1) + x.shape[2:]), dmap
 
     def _map_grad(self, demap, dmap):
-        n, _, h, w = demap.shape
-        return (demap.reshape(dmap.shape) * dmap).sum(axis=1).reshape(n, -1, h, w)
+        n = demap.shape[0]
+        return ((demap.reshape(dmap.shape) * dmap).sum(axis=1)
+                .reshape((n, -1) + demap.shape[2:]))
 
     def _kernel(self):
-        """Weight [O, C*(B+1)*kh*kw] of the classical convolution over the
+        """Weight [O, C*(B+1)*taps] of the classical layer over the
         expanded map, [w_b, w_s * c] per edge, and its bias with the edge
         shifts summed in; both zero on masked channels."""
         o, c = self.w_base.shape[:2]
@@ -705,45 +714,12 @@ class _KanLayer(_Conv):
                 * (self.spec.basis_count + 2))
 
 
-class KanConv2D(_KanLayer):
+class KanConv2D(_SplineEdges, Conv2D):
     """Convolution whose kernel taps are learnable 1-D spline functions."""
 
 
-class KanLinear(_KanLayer):
-    """Fully connected layer whose weights are learnable spline functions.
-
-    It runs as a 1x1 spline-kernel convolution over [N, F, 1, 1], with
-    edges of shape (O, F).
-    """
-
-    def __init__(self, in_features: int, out_features: int,
-                 spec: SplineSpec = None, base_act: str = "silu", rng=None,
-                 dtype=T.DEFAULT_DTYPE, name: str = ""):
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
-        super().__init__(in_features, out_features, 1, spec=spec,
-                         base_act=base_act, rng=rng, dtype=dtype, name=name)
-
-    @property
-    def edge_shape(self) -> tuple:
-        return (self.out_features, self.in_features)
-
-    def forward(self, x, training=True):
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise DimensionError(f"{self.name or 'kanlinear'}: expected [N,{self.in_features}], got {x.shape}")
-        return super().forward(x[:, :, None, None], training)[:, :, 0, 0]
-
-    def backward(self, dout, input_grad=True):
-        dx = super().backward(dout[:, :, None, None], input_grad=input_grad)
-        return None if dx is None else dx[:, :, 0, 0]
-
-    def mac_count(self, in_shape):
-        return super().mac_count((self.in_features, 1, 1))
-
-    def output_shape(self, in_shape):
-        if tuple(in_shape) != (self.in_features,):
-            raise DimensionError(f"kanlinear expects ({self.in_features},), got {in_shape}")
-        return (self.out_features,)
+class KanLinear(_SplineEdges, Linear):
+    """Fully connected layer whose weights are learnable spline functions."""
 
 
 class _Length1D(Layer):

@@ -36,7 +36,7 @@ from .errors import ConfigError
 from .evaluation import (finetune_pruned, latency_profile, prune_channels_l2)
 from .models import build_lenet_kan_full
 from .splines import SplineSpec, bspline_spec, rbf_spec
-from .training import EarlyStopper, FitResult, evaluate_model, fit
+from .training import EarlyStopper, FitResult, fit
 
 RUNS_COLUMNS = ["g", "w", "relu", "p", "val_loss", "val_acc", "params",
                 "macs", "latency_ms", "wall_s", "status"]
@@ -188,17 +188,17 @@ def train_base(cell: SweepCell, cfg: SweepConfig, train: Dataset,
 
 
 def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
-             base: FitResult | None = None,
+             base: FitResult,
              verbose: bool = False) -> tuple[CellResult, dict | None]:
-    """Branch one cell from ``base``, training it first when none is given.
+    """Branch one cell from the trained ``base``.
 
     The base's best state is pruned by ``cell.p`` and fine-tuned when
-    p > 0, then evaluated and counted.  Returns the result, whose
-    ``wall_s`` counts the base's training, and the cell's best state
-    (None when it failed).  Latency is left to ``run_sweep``.
+    p > 0, then counted.  The validation loss and accuracy are those
+    ``fit`` measured on the branch's best state: the base's for p = 0,
+    the fine-tune's for p > 0.  Returns the result, whose ``wall_s``
+    counts the base's training, and the cell's best state (None when it
+    failed).  Latency is left to ``run_sweep``.
     """
-    if base is None:
-        base = train_base(cell, cfg, train, val, verbose)
     t0 = time.perf_counter()
     result = CellResult(cell=cell)
 
@@ -210,26 +210,23 @@ def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
 
     if base.report.status != "ok":
         return failed("training diverged: non-finite loss")
-    state = base.best_state
+    branch = base
     model = _build_model(cell, cfg)
-    model.load_state(state)
+    model.load_state(base.best_state)
     if cell.p > 0.0:
         mask = prune_channels_l2(model, cell.p)
-        ft = finetune_pruned(model, mask, train, val,
-                             epochs=cfg.finetune_epochs,
-                             batch_size=cfg.batch_size, lr=cfg.lr,
-                             seed=cfg.seed + 1, verbose=verbose)
-        if ft.report.status != "ok":
+        branch = finetune_pruned(model, mask, train, val,
+                                 epochs=cfg.finetune_epochs,
+                                 batch_size=cfg.batch_size, lr=cfg.lr,
+                                 seed=cfg.seed + 1, verbose=verbose)
+        if branch.report.status != "ok":
             return failed("fine-tuning diverged: non-finite loss")
-        state = ft.best_state
-        model.load_state(state)
-    val_loss, val_acc = evaluate_model(model, val)
-    result.val_loss = float(val_loss)
-    result.val_acc = float(val_acc)
+    result.val_loss = float(branch.report.best_val_loss)
+    result.val_acc = float(branch.report.best_val_acc)
     result.params = int(model.param_count())
     result.macs = int(model.mac_count())
     result.wall_s = base.report.wall_s + time.perf_counter() - t0
-    return result, state
+    return result, branch.best_state
 
 
 def _failed(cell: SweepCell, exc: Exception, wall_s: float) -> CellResult:

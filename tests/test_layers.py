@@ -526,3 +526,26 @@ class TestInputGradFlag:
         assert lyr.backward(dout, input_grad=False) is None
         for (_, got), ref in zip(lyr.grads(), want):
             np.testing.assert_array_equal(got, ref)
+
+
+class TestKernelFold:
+    @pytest.mark.parametrize("make, in_shape", [
+        (lambda g: KanConv2D(2, 3, 3, pad=1, spec=rbf_spec(4), rng=g), (2, 5, 5)),
+        (lambda g: KanConv2D(2, 3, 3, stride=2, spec=bspline_spec(), rng=g),
+         (2, 5, 5)),
+        (lambda g: KanLinear(6, 4, spec=rbf_spec(4), rng=g), (6,)),
+    ], ids=["kanconv2d", "kanconv2d-strided", "kanlinear"])
+    def test_training_step_folds_the_kernel_once(self, make, in_shape, rng):
+        lyr = make(rng)
+        fold = lyr._kernel
+        calls = []
+
+        def spy():
+            calls.append(1)
+            return fold()
+
+        lyr._kernel = spy
+        out = lyr.forward(rng.standard_normal((3,) + in_shape), training=True)
+        lyr.backward(np.ones_like(out))
+        # backward reuses the weight its forward folded
+        assert len(calls) == 1

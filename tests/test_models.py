@@ -106,8 +106,9 @@ class TestForwardShapes:
 
 class TestConvPath:
     @pytest.mark.parametrize("build", [
-        lambda: build_lenet(), lambda: build_lenet_kan_full(rbf_spec(4))],
-        ids=["lenet", "lenet_kan_full-rbf"])
+        lambda: build_lenet(), lambda: build_lenet_kan_full(rbf_spec(4)),
+        lambda: build_lenet_kan(bspline_spec())],
+        ids=["lenet", "lenet_kan_full-rbf", "lenet_kan-bspline"])
     def test_lenet_training_builds_no_columns(self, build, monkeypatch):
         from ckanbench import tensor_ops as T
 

@@ -15,7 +15,8 @@ from ckanbench.sweep import (CellResult, SweepCell, SweepConfig,
                              default_sweep_config, enumerate_grid,
                              load_runs_csv, normalize_radar,
                              parse_sweep_config, run_cell, run_sweep,
-                             validate_sweep_config, RUNS_COLUMNS)
+                             train_base, validate_sweep_config,
+                             RUNS_COLUMNS)
 from ckanbench.training import FitResult, RunReport
 
 
@@ -227,8 +228,9 @@ class TestRunCell:
         train, val = digit_train_val
         cfg = _tiny_sweep_cfg()
         cell = enumerate_grid(cfg)[0]
-        res, state = run_cell(cell, cfg, subset_dataset(train, 300, seed=0),
-                              val)
+        sub = subset_dataset(train, 300, seed=0)
+        res, state = run_cell(cell, cfg, sub, val,
+                              train_base(cell, cfg, sub, val))
         assert res.status == "ok"
         assert res.params is not None and res.macs is not None
         assert res.wall_s > 0
@@ -241,8 +243,10 @@ class TestRunCell:
         train, val = digit_train_val
         cfg = _tiny_sweep_cfg()
         sub = subset_dataset(train, 300, seed=0)
-        plain, _ = run_cell(enumerate_grid(cfg)[0], cfg, sub, val)
-        pruned, state = run_cell(enumerate_grid(cfg)[1], cfg, sub, val)
+        cells = enumerate_grid(cfg)
+        base = train_base(cells[0], cfg, sub, val)
+        plain, _ = run_cell(cells[0], cfg, sub, val, base)
+        pruned, state = run_cell(cells[1], cfg, sub, val, base)
         assert plain.cell.p == 0.0 and pruned.cell.p == 0.4
         assert pruned.params < plain.params
         assert pruned.macs < plain.macs
@@ -299,9 +303,36 @@ class TestRunSweep:
         assert calls == ["fit", "fit"]
         sub = subset_dataset(train, cfg.subset, cfg.seed)
         for res in swept:
-            alone, _ = run_cell(res.cell, cfg, sub, val)
+            alone, _ = run_cell(res.cell, cfg, sub, val,
+                                train_base(res.cell, cfg, sub, val))
             for col in ("status", "val_loss", "val_acc", "params", "macs"):
                 assert getattr(res, col) == getattr(alone, col), col
+
+    def test_branches_are_not_evaluated_again(self, tmp_path, monkeypatch,
+                                              digit_train_val):
+        import ckanbench.sweep as sweep_mod
+        import ckanbench.training as training_mod
+
+        train, val = digit_train_val
+        cfg = _tiny_sweep_cfg()
+        calls = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        # raising=False: the sweep module no longer imports evaluate_model
+        monkeypatch.setattr(sweep_mod, "evaluate_model",
+                            spy("sweep", training_mod.evaluate_model),
+                            raising=False)
+        monkeypatch.setattr(training_mod, "evaluate_model",
+                            spy("fit", training_mod.evaluate_model))
+        results = run_sweep(cfg, train, val, str(tmp_path / "sweep"))
+        assert all(r.status == "ok" for r in results)
+        # only fit's own per-epoch evaluations: 2 bases, 2 pruned branches
+        assert calls == ["fit"] * (2 * cfg.epochs + 2 * cfg.finetune_epochs)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_latency_measured_after_training_in_parent(
