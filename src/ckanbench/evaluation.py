@@ -221,11 +221,13 @@ def apply_prune_mask(model, pmask: PruneMask) -> None:
 
 
 def masked_scalar_count(model) -> int:
-    """Learnable scalars belonging to currently masked channels."""
+    """Learnable scalars belonging to currently masked channels, over every
+    layer that carries a channel mask (``apply_prune_mask`` accepts any)."""
     total = 0
-    for layer in model.kan_conv_layers():
-        masked = int((~layer.channel_mask).sum())
-        total += masked * layer.channel_param_count()
+    for layer in model.layers:
+        mask = getattr(layer, "channel_mask", None)
+        if mask is not None:
+            total += int((~mask).sum()) * layer.channel_param_count()
     return total
 
 

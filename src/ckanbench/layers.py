@@ -24,9 +24,13 @@ bias from ``_kernel()``, and in backward hands their gradients to
 The spline edges are a mixin that fills those hooks in front of the
 classical class (``KanConv2D`` over ``Conv2D``, ``KanLinear`` over
 ``Linear``), with the per-pixel basis expansion as the map and the
-folded edges as the kernel.  A training forward caches the map (for a
-KAN layer, also its per-pixel derivative) and the weight it applied, so
-backward folds no edges again.
+folded edges as the kernel.  The expansion writes act(x) and the basis
+straight into one map table.  A training forward caches the map, its
+input (for SiLU also the sigmoid) and the weight it applied, so backward
+folds no edges again; it evaluates no derivative table.  Backward
+computes the map's derivative only when an input gradient is asked for,
+multiplying it into the map gradient in place, so a first layer called
+with ``input_grad=False`` evaluates none.
 
 A convolution zero-pads its input before the map, then convolves the
 map with the kernel in blocks of samples.  A stride-1 kernel more than
@@ -58,7 +62,7 @@ import numpy as np
 
 from . import tensor_ops as T
 from .errors import ConfigError, DimensionError, StateError
-from .splines import SplineSpec, basis_block, basis_and_deriv_block
+from .splines import SplineSpec, _basis_chain, _basis_into
 
 _ACTS = {
     "relu": (T.relu, T.relu_grad),
@@ -210,7 +214,14 @@ class Reshape(Layer):
 
 class MaxPool2D(Layer):
     """Max pooling; gradient routes to the first occurrence of the max
-    in row-major window order."""
+    in row-major window order.
+
+    A training forward caches that tap's index per output, in the
+    smallest unsigned dtype that holds wh*ww taps (uint8 for any window
+    up to 16x16), built from boolean compares.  When windows do not
+    overlap (stride >= both window sides), backward writes each tap's
+    gradient straight into its strided view of the input gradient;
+    overlapping windows accumulate there."""
 
     def __init__(self, window=2, stride=None, name: str = ""):
         wh, ww = (window, window) if np.isscalar(window) else window
@@ -238,11 +249,15 @@ class MaxPool2D(Layer):
             # keeps its second operand, so the first maximum's zero is kept.
             np.maximum(tap, out, out=out)
         if training:
-            # Taps written in reverse window order, so the first maximum in
-            # row-major order wins; a NaN window matches no tap and keeps 0.
-            idx = np.zeros(out.shape, dtype=np.intp)
-            for t in range(len(taps) - 1, -1, -1):
-                np.copyto(idx, t, where=taps[t] == out)
+            # Each tap adds its index where it is the first to equal the
+            # maximum; a NaN window matches no tap and keeps 0.
+            idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+            found = taps[0] == out
+            for t in range(1, len(taps)):
+                eq = taps[t] == out
+                np.greater(eq, found, out=eq)
+                idx += eq * idx.dtype.type(t)
+                found |= eq
             self._cache = (x.shape, idx)
         return out
 
@@ -250,11 +265,20 @@ class MaxPool2D(Layer):
         (n, c, h, w), idx = self._need_cache(self._cache)
         ho, wo = self._out_hw(h, w)
         s = self.stride
-        dx = np.zeros((n, c, h, w), dtype=dout.dtype)
+        overlap = s < self.wh or s < self.ww
+        # Disjoint windows that cover every input element write all of dx.
+        tiles = not overlap and ho * self.wh == h and wo * self.ww == w
+        dx = (np.empty if tiles else np.zeros)((n, c, h, w), dtype=dout.dtype)
         for pi in range(self.wh):
             for pj in range(self.ww):
-                sel = idx == (pi * self.ww + pj)
-                dx[:, :, pi:pi + s * ho:s, pj:pj + s * wo:s] += dout * sel
+                part = dout * (idx == (pi * self.ww + pj))
+                view = dx[:, :, pi:pi + s * ho:s, pj:pj + s * wo:s]
+                if overlap:
+                    view += part
+                else:
+                    # + 0.0 makes an unrouted -0.0 (dout < 0) +0.0, as
+                    # accumulating it into zeros would.
+                    np.add(part, 0.0, out=view)
         return dx
 
     def output_shape(self, in_shape):
@@ -647,23 +671,33 @@ class _SplineEdges:
     def _map(self, x, training):
         """Per-pixel expansion of [N, C, ...] into the [N, C*(B+1), ...]
         map whose channel c*(B+1) + m holds act(x_c) for m = 0 and
-        basis_m(x_c) after it; in training also its elementwise d/dx, as
-        [N*C, B+1, pixels]."""
+        basis_m(x_c) after it, written into one [N*C, B+1, pixels] table.
+        In training ``_map_grad`` gets the input, the table and, for SiLU,
+        the sigmoid it shares with its derivative."""
         n, c = x.shape[:2]
         x3 = x.reshape(n * c, 1, -1)
-        dmap = None
-        if training:
-            basis, dbasis = basis_and_deriv_block(x3, self.spec)
-            dmap = np.concatenate([self.act_grad_fn(x3), dbasis[:, :, 0]], axis=1)
+        emap = np.empty((n * c, self.spec.basis_count + 1, x3.shape[2]), dtype=x3.dtype)
+        _basis_into(x3, self.spec, emap[:, 1:, None])
+        sig = None
+        if self.base_act == "silu":
+            sig = T.sigmoid(x3)
+            np.multiply(x3, sig, out=emap[:, :1])
         else:
-            basis = basis_block(x3, self.spec)
-        emap = np.concatenate([self.act_fn(x3), basis[:, :, 0]], axis=1)
-        return emap.reshape((n, -1) + x.shape[2:]), dmap
+            emap[:, :1] = self.act_fn(x3)
+        aux = (x3, emap, sig) if training else None
+        return emap.reshape((n, -1) + x.shape[2:]), aux
 
-    def _map_grad(self, demap, dmap):
+    def _map_grad(self, demap, aux):
+        """de[:, 0] * act'(x) + sum_m de[:, m] * basis_m'(x), the map
+        gradient ``demap`` multiplied in place and summed over the map's
+        B + 1 slots."""
+        x3, emap, sig = aux
         n = demap.shape[0]
-        return ((demap.reshape(dmap.shape) * dmap).sum(axis=1)
-                .reshape((n, -1) + demap.shape[2:]))
+        de = demap.reshape(emap.shape)
+        de[:, :1] *= (T.silu_grad(x3, sig) if sig is not None
+                      else self.act_grad_fn(x3))
+        _basis_chain(x3, self.spec, emap[:, 1:, None], de[:, 1:, None])
+        return de.sum(axis=1).reshape((n, -1) + demap.shape[2:])
 
     def _kernel(self):
         """Weight [O, C*(B+1)*taps] of the classical layer over the

@@ -17,9 +17,15 @@ every basis function is defined on the whole real line; the derivative is
 input gives a row holding NaN and touches no other element's row.
 
 The block helpers evaluate a rank-3 batch [T, n, P] and return the basis
-axis in position 1 ([T, B, n, P]).  The public ``basis_eval`` /
-``basis_deriv`` wrap the same code path, which keeps the layer math and
-any reference computation numerically identical.
+axis in position 1 ([T, B, n, P]).  The layers use the private pair
+behind them: ``_basis_into`` writes the basis into a given table (a
+strided slice of the layer's map, so no copy follows), and
+``_basis_chain`` multiplies a gradient table in place by the derivative,
+computed only then (for B-splines from the K + 1 nonzero slopes, never as
+a full table).  ``basis_and_deriv_block`` is that chain applied to ones,
+and the public ``basis_eval`` / ``basis_deriv`` wrap the block helpers,
+which keeps the layer math and any reference computation numerically
+identical.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 
@@ -130,18 +137,17 @@ def _inside(x3: np.ndarray, spec: SplineSpec) -> np.ndarray:
     return ((x3 >= a) & (x3 <= b)).astype(x3.dtype)
 
 
-def _bspline(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
-    """Degree-K B-splines over a [T, n, P] block: returns the values
-    [T, G+K, n, P] and, when requested, their d/dx of the clamped input
-    (else None).
+def _bspline_local(x3: np.ndarray, spec: SplineSpec, degree: int):
+    """Interval index ``iv`` of each clamped input of a [T, n, P] block, and
+    its degree + 1 nonzero B-splines of ``degree``.
 
-    On a uniform grid only the K + 1 functions B_iv .. B_iv+K are nonzero
+    On a uniform grid only the functions B_iv .. B_iv+degree are nonzero
     in interval iv, and they depend only on the offset u in [0, 1] of the
     input within it.  They are built up degree by degree as per-pixel
-    arrays (de Boor's BSPLVB) and scattered into a zeroed table.
+    arrays (de Boor's BSPLVB).
     """
     a, b = spec.domain
-    g, k = spec.grid_size, spec.degree
+    g = spec.grid_size
     h = (b - a) / g
     s = (np.clip(x3, a, b) - a) / h
     # x = b folds into the last interval.  fmin/fmax send NaN to G - 1, so
@@ -152,7 +158,7 @@ def _bspline(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
     # N_0 = [1]; written as u * 0 + 1 so that a NaN input still reaches
     # its row at degree 0.
     nfun = [u * 0 + 1]
-    for d in range(1, k + 1):
+    for d in range(1, degree + 1):
         prev, nfun = nfun, []
         carry = 0
         for r in range(d):
@@ -160,69 +166,129 @@ def _bspline(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
             nfun.append(carry + (r + 1 - u) * term)
             carry = (u + (d - 1 - r)) * term
         nfun.append(carry)
+    return iv, nfun
 
-    t, n, p = x3.shape
-    nb, npix = spec.basis_count, n * p
-    # Flat index of table entry (t, iv + r, j, q): t*nb*npix + j*p + q
-    # + (iv + r)*npix, advanced by npix per r.
+
+def _slots(iv: np.ndarray, table: np.ndarray):
+    """Flat element offsets of table[t, iv, j, q] over a [T, B, n, P] table,
+    following its strides (it may be a view into a wider map), a 1-D view
+    of the memory they address, and the offset step to the next basis."""
+    t, nb, n, p = table.shape
+    st, sb, sn, sp = (s // table.itemsize for s in table.strides)
     idx = iv.astype(np.intp)
-    idx *= npix
-    idx += (np.arange(t) * (nb * npix))[:, None, None]
-    idx += np.arange(npix).reshape(n, p)
-    val = np.zeros((t, nb, n, p), dtype=x3.dtype)
-    der = np.zeros_like(val) if want_deriv else None
-    # d/dx B_iv+r = (N_K-1[r-1] - N_K-1[r]) / h, masked to [a, b] per pixel.
-    scale = _inside(x3, spec) / x3.dtype.type(h) if want_deriv and k else None
-    for r in range(k + 1):
-        val.reshape(-1)[idx] = nfun[r]
-        if scale is not None:
-            lo = prev[r - 1] if r else 0
-            hi = prev[r] if r < k else 0
-            der.reshape(-1)[idx] = (lo - hi) * scale
-        idx += npix
-    return val, der
+    idx *= sb
+    idx += (np.arange(t) * st)[:, None, None]
+    idx += np.arange(n)[:, None] * sn + np.arange(p) * sp
+    span = 1 + sum((d - 1) * s for d, s in zip(table.shape, (st, sb, sn, sp)))
+    flat = as_strided(table, shape=(span if table.size else 0,),
+                      strides=(table.itemsize,))
+    return idx, flat, sb
 
 
-def _rbf(x3: np.ndarray, spec: SplineSpec, want_deriv: bool):
-    """Gaussian bumps over a [T, n, P] block: returns the values
-    [T, G, n, P] and, when requested, their d/dx of the clamped input
-    (else None)."""
+def _bspline(x3: np.ndarray, spec: SplineSpec, out: np.ndarray) -> None:
+    """Degree-K B-splines of a [T, n, P] block into the [T, G+K, n, P]
+    table ``out``: zeroed, then each input's K + 1 nonzero functions
+    scattered in."""
+    iv, nfun = _bspline_local(x3, spec, spec.degree)
+    out[...] = 0
+    idx, flat, step = _slots(iv, out)
+    for row in nfun:
+        flat[idx] = row
+        idx += step
+
+
+def _bspline_chain(x3: np.ndarray, spec: SplineSpec, dval: np.ndarray) -> None:
+    """dval *= d basis / dx of the clamped input, in place over a
+    [T, G+K, n, P] table.  Only the K + 1 functions at an input's interval
+    have a nonzero slope, d/dx B_iv+r = (N_K-1[r-1] - N_K-1[r]) / h from
+    the degree-(K - 1) ones, masked to [a, b] per pixel; every other entry
+    is multiplied by 0."""
+    a, b = spec.domain
+    k = spec.degree
+    if not k:
+        dval *= 0.0
+        return
+    iv, lower = _bspline_local(x3, spec, k - 1)
+    scale = _inside(x3, spec) / x3.dtype.type((b - a) / spec.grid_size)
+    idx, flat, step = _slots(iv, dval)
+    picked = [flat[idx + r * step] for r in range(k + 1)]
+    dval *= 0.0
+    for r, got in enumerate(picked):
+        lo = lower[r - 1] if r else 0
+        hi = lower[r] if r < k else 0
+        got *= (lo - hi) * scale
+        flat[idx] = got
+        idx += step
+
+
+def _rbf_scale(x3: np.ndarray, spec: SplineSpec):
+    """1 / h in the block's dtype, and the clamped block."""
     dtype = x3.dtype
-    inv_h = dtype.type(1.0) / dtype.type(rbf_bandwidth(spec))
-    scale = dtype.type(-2.0) * inv_h
-    xc = np.clip(x3, *spec.domain)
-    t, n, p = x3.shape
-    val = np.empty((t, spec.grid_size, n, p), dtype=dtype)
-    der = None
-    if want_deriv:
-        der = np.empty_like(val)
-        # The clamp mask rides on the per-pixel factor, so the derivative
-        # is 0 outside [a, b].
-        scale = _inside(x3, spec) * scale
-    for m, c in enumerate(rbf_centers(spec).astype(dtype)):
+    return (dtype.type(1.0) / dtype.type(rbf_bandwidth(spec)),
+            np.clip(x3, *spec.domain))
+
+
+def _rbf(x3: np.ndarray, spec: SplineSpec, out: np.ndarray) -> None:
+    """Gaussian bumps of a [T, n, P] block into the [T, G, n, P] table
+    ``out``."""
+    inv_h, xc = _rbf_scale(x3, spec)
+    for m, c in enumerate(rbf_centers(spec).astype(x3.dtype)):
         u = (xc - c) * inv_h
-        np.exp(-(u * u), out=val[:, m])
-        if want_deriv:
-            der[:, m] = val[:, m] * u * scale
-    return val, der
+        np.exp(-(u * u), out=out[:, m])
+
+
+def _rbf_chain(x3: np.ndarray, spec: SplineSpec, val: np.ndarray,
+               dval: np.ndarray) -> None:
+    """dval *= d basis / dx of the clamped input, in place, from the bumps'
+    values ``val``: val * u * (-2 / h)."""
+    inv_h, xc = _rbf_scale(x3, spec)
+    # The clamp mask rides on the per-pixel factor, so the derivative is
+    # 0 outside [a, b].
+    scale = _inside(x3, spec) * (x3.dtype.type(-2.0) * inv_h)
+    for m, c in enumerate(rbf_centers(spec).astype(x3.dtype)):
+        u = (xc - c) * inv_h
+        dval[:, m] *= val[:, m] * u * scale
+
+
+def _basis_into(x3: np.ndarray, spec: SplineSpec, out: np.ndarray) -> None:
+    """Write the basis of a [T, n, P] block into the [T, B, n, P] table
+    ``out``, which may be a strided view (a slice of a wider map)."""
+    if spec.family is BasisFamily.BSPLINE:
+        _bspline(x3, spec, out)
+    else:
+        _rbf(x3, spec, out)
+
+
+def _basis_chain(x3: np.ndarray, spec: SplineSpec, val: np.ndarray,
+                 dval: np.ndarray) -> None:
+    """Chain a gradient through the basis in place: dval *= d basis / dx,
+    both [T, B, n, P] (strided views allowed), ``val`` being the basis of
+    the block ``x3``.  dval is the first operand of every product, so the
+    result is bit for bit dval times ``basis_and_deriv_block``'s table."""
+    if spec.family is BasisFamily.BSPLINE:
+        _bspline_chain(x3, spec, dval)
+    else:
+        _rbf_chain(x3, spec, val, dval)
 
 
 def basis_block(x3: np.ndarray, spec: SplineSpec) -> np.ndarray:
     """Evaluate all basis functions over [T, n, P]; returns [T, B, n, P]."""
-    if spec.family is BasisFamily.BSPLINE:
-        return _bspline(x3, spec, want_deriv=False)[0]
-    return _rbf(x3, spec, want_deriv=False)[0]
+    t, n, p = x3.shape
+    val = np.empty((t, spec.basis_count, n, p), dtype=x3.dtype)
+    _basis_into(x3, spec, val)
+    return val
 
 
 def basis_and_deriv_block(x3: np.ndarray, spec: SplineSpec):
     """Basis values and d/dx over [T, n, P]; both [T, B, n, P].
 
     The derivative is taken after clamping, so it is 0 wherever the input
-    fell outside the domain.
+    fell outside the domain.  It is the chain of a gradient of ones.
     """
-    if spec.family is BasisFamily.BSPLINE:
-        return _bspline(x3, spec, want_deriv=True)
-    return _rbf(x3, spec, want_deriv=True)
+    val = basis_block(x3, spec)
+    der = np.ones_like(val)
+    _basis_chain(x3, spec, val, der)
+    return val, der
 
 
 def _as_block(x) -> tuple[np.ndarray, tuple]:

@@ -98,8 +98,10 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x * sigmoid(x)
 
 
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
+def silu_grad(x: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """d silu / dx; ``s`` is sigmoid(x) when the caller already has it."""
+    if s is None:
+        s = sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 

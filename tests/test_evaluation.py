@@ -12,7 +12,7 @@ from ckanbench.evaluation import (LatencyProfile, MetricsBlock, PruneMask,
                                   latency_profile, masked_scalar_count,
                                   metrics_report, multilabel_metrics,
                                   prune_channels_l2, topk_metrics)
-from ckanbench.models import build_lenet_kan_full
+from ckanbench.models import build_lenet_kan, build_lenet_kan_full
 from ckanbench.splines import rbf_spec
 from ckanbench.training import fit
 
@@ -237,6 +237,17 @@ class TestPruning:
         apply_prune_mask(model, pmask)
         after = model.param_count()
         assert after < before
+        assert before == after + masked_scalar_count(model)
+
+    def test_masked_scalars_count_a_kan_linear_mask(self):
+        model = build_lenet_kan(rbf_spec(4))
+        kfc1 = [lyr for lyr in model.layers if lyr.name == "kfc1"][0]
+        mask = np.ones(kfc1.out_features, dtype=bool)
+        mask[:3] = False
+        before = model.param_count()
+        apply_prune_mask(model, PruneMask(0.0, {"kfc1": mask}))
+        after = model.param_count()
+        assert before - after == 3 * kfc1.channel_param_count()
         assert before == after + masked_scalar_count(model)
 
     def test_mac_count_drops(self):

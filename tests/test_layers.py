@@ -314,6 +314,57 @@ class TestMaxPool:
             lyr._cache[1], self._window_argmax(x[:, :, None], 1, 3, 3))
         assert lyr.forward(x, training=False).tobytes() == out.tobytes()
 
+    def test_nan_window_routes_to_tap_zero(self, rng):
+        x = rng.standard_normal((1, 2, 4, 4))
+        x[0, 1, 2, 3] = np.nan
+        lyr = MaxPool2D(2)
+        out = lyr.forward(x)
+        assert np.isnan(out[0, 1, 1, 1]) and lyr._cache[1][0, 1, 1, 1] == 0
+        dx = lyr.backward(np.full(out.shape, 3.0))
+        np.testing.assert_array_equal(dx[0, 1, 2:, 2:], [[3.0, 0.0], [0.0, 0.0]])
+
+    def test_index_is_uint8_for_2x2_windows(self, rng):
+        lyr = MaxPool2D(2)
+        lyr.forward(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        assert lyr._cache[1].dtype == np.uint8
+
+    @staticmethod
+    def _routed(x, dout, wh, ww, stride):
+        """Input gradient that sends each output's gradient to the first
+        window element equal to ``oracles.maxpool2d_naive``'s maximum,
+        summed tap by tap where windows overlap."""
+        want = oracles.maxpool2d_naive(x, wh, ww, stride)
+        route = {}
+        for n, c, i, j in np.ndindex(*want.shape):
+            win = x[n, c, i * stride:i * stride + wh, j * stride:j * stride + ww]
+            route[n, c, i, j] = tuple(np.argwhere(win == want[n, c, i, j])[0])
+        dx = np.zeros_like(x)
+        for tap in np.ndindex(wh, ww):
+            for (n, c, i, j), first in route.items():
+                if first == tap:
+                    dx[n, c, i * stride + tap[0], j * stride + tap[1]] += dout[n, c, i, j]
+        return dx
+
+    @pytest.mark.parametrize("window,stride,shape", [
+        (2, 3, (2, 3, 8, 8)), (2, 2, (2, 3, 8, 8)), (2, 2, (2, 3, 9, 7)),
+        (3, 2, (2, 2, 9, 9))], ids=["gaps", "tiled", "uncovered-edge", "overlap"])
+    def test_gradient_matches_naive_routing(self, window, stride, shape, rng):
+        x = np.maximum(np.round(rng.standard_normal(shape), 1), 0.0)
+        lyr = MaxPool2D(window, stride=stride)
+        out = lyr.forward(x)
+        # A negative gradient everywhere: every element it does not reach
+        # must read +0.0, as accumulating into zeros gives, not -0.0.
+        dout = -np.abs(rng.standard_normal(out.shape)) - 0.5
+        dx = lyr.backward(dout)
+        want = self._routed(x, dout, window, window, stride)
+        np.testing.assert_array_equal(dx, want)
+        assert not np.signbit(dx[dx == 0]).any()
+        if stride > window:
+            gaps = np.ones(shape[2:], dtype=bool)
+            for i in range(out.shape[2]):
+                gaps[i * stride:i * stride + window] = False
+            assert not dx[:, :, gaps].any()
+
     def test_zero_macs(self):
         assert MaxPool2D(2).mac_count((3, 8, 8)) == 0
 
@@ -549,3 +600,90 @@ class TestKernelFold:
         lyr.backward(np.ones_like(out))
         # backward reuses the weight its forward folded
         assert len(calls) == 1
+
+
+def _derivative_spies(monkeypatch):
+    """Record the input shape of every basis or SiLU derivative evaluated."""
+    import ckanbench.splines as S
+
+    seen = []
+
+    def spy(real):
+        def call(x3, *args, **kw):
+            seen.append(x3.shape)
+            return real(x3, *args, **kw)
+        return call
+
+    for mod, name in [(S, "_rbf_chain"), (S, "_bspline_chain"),
+                      (T, "silu_grad")]:
+        monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
+    return seen
+
+
+class TestDerivativeWork:
+    """A training forward caches the map, not its derivative: backward
+    evaluates the derivative only when asked for the input gradient."""
+
+    @pytest.mark.parametrize("spec", [rbf_spec(4), bspline_spec(5, 3)],
+                             ids=["rbf", "bspline"])
+    def test_model_step_skips_first_layer_derivative(self, spec, monkeypatch):
+        from ckanbench.models import build_lenet_kan_full
+
+        model = build_lenet_kan_full(spec, seed=0)
+        x = np.random.default_rng(0).standard_normal((3, 1, 28, 28))
+        seen = _derivative_spies(monkeypatch)
+        out = model.forward(x.astype(np.float32), training=True)
+        assert seen == []
+        model.backward(np.ones_like(out))
+        # kconv2's input [3 * 6, 1, 14 * 14] only; kconv1's padded
+        # [3 * 1, 1, 32 * 32] never
+        assert seen and set(seen) == {(18, 1, 196)}
+
+    @pytest.mark.parametrize("make, in_shape", [
+        (lambda g: KanConv2D(2, 3, 3, pad=1, spec=rbf_spec(4), rng=g), (2, 5, 5)),
+        (lambda g: KanConv2D(2, 3, 3, stride=2, spec=bspline_spec(), rng=g),
+         (2, 5, 5)),
+        (lambda g: KanLinear(6, 4, spec=rbf_spec(4), rng=g), (6,)),
+        (lambda g: KanLinear(6, 4, spec=bspline_spec(), rng=g), (6,)),
+    ], ids=["kanconv2d-rbf", "kanconv2d-bspline", "kanlinear-rbf",
+            "kanlinear-bspline"])
+    def test_no_input_grad_evaluates_no_derivative(self, make, in_shape, rng,
+                                                   monkeypatch):
+        lyr = make(rng)
+        x = rng.standard_normal((3,) + in_shape).astype(np.float32)
+        seen = _derivative_spies(monkeypatch)
+        out = lyr.forward(x, training=True)
+        assert lyr.backward(np.ones_like(out), input_grad=False) is None
+        assert seen == []
+        lyr.backward(np.ones_like(out))
+        assert len(seen) == 2    # the basis and SiLU derivatives
+
+    @pytest.mark.parametrize("spec", [bspline_spec(8, 2, (-2.0, 2.0)),
+                                      bspline_spec(4, 3, (0.0, 1.0)),
+                                      bspline_spec(4, 0), rbf_spec(5)],
+                             ids=["bspline-8-2", "bspline-4-3", "bspline-4-0",
+                                  "rbf-5"])
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_map_grad_equals_basis_deriv_chaining(self, spec, kind, rng):
+        from ckanbench.splines import basis_deriv
+
+        a, b = spec.domain
+        edges = np.concatenate([np.linspace(a, b, 9), [a - 1.0, b + 1.0,
+                                                       a - 1e-3, b + 1e-3]])
+        if kind == "conv":
+            lyr = KanConv2D(2, 3, 3, spec=spec, rng=rng, dtype=np.float64)
+            x = rng.uniform(a - 0.5, b + 0.5, (3, 2, 4, 5))
+        else:
+            lyr = KanLinear(10, 3, spec=spec, rng=rng, dtype=np.float64)
+            x = rng.uniform(a - 0.5, b + 0.5, (3, 10))
+        x.reshape(-1)[:edges.size] = edges
+        xmap, aux = lyr._map(x, training=True)
+        demap = rng.standard_normal(xmap.shape)
+        got = lyr._map_grad(demap.copy(), aux)
+
+        x3 = x.reshape(x.shape[0] * x.shape[1], 1, -1)
+        table = np.concatenate([T.silu_grad(x3),
+                                np.moveaxis(basis_deriv(x3[:, 0], spec), -1, 1)],
+                               axis=1)
+        want = (demap.reshape(table.shape) * table).sum(axis=1)
+        assert got.tobytes() == want.reshape(x.shape).tobytes()
