@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Train the two desk-scale baselines and print their headline numbers.
 
-Runs the classical LeNet and the spline-kernel LeNet (RBF grid 4, width 1.0,
-ReLU) with the reference recipe: 5 epochs, batch 512, Adam 1e-3.  Expected
+Runs the classical LeNet (``lenet``) and the spline-kernel-convolution LeNet
+with the classical head (``lenet-kan-full``, RBF grid 4, width 1.0, ReLU) with
+the reference recipe: 5 epochs, batch 512, Adam 1e-3.  Expected
 full-corpus validation accuracy is >= 98.0% for the classical model and
 >= 98.3% for the spline model; --subset 10000 trades accuracy (>= 97%) for
 a much shorter run.
@@ -44,8 +45,8 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = [
         ("lenet", build_lenet(width_mult=1.0, relu_on=True, seed=args.seed)),
-        ("lenet-kan", build_lenet_kan_full(spec=rbf_spec(4), width_mult=1.0,
-                                           relu_on=True, seed=args.seed)),
+        ("lenet-kan-full", build_lenet_kan_full(spec=rbf_spec(4), width_mult=1.0,
+                                                relu_on=True, seed=args.seed)),
     ]
     rc = 0
     for name, model in runs:

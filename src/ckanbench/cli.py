@@ -19,7 +19,7 @@ from .errors import ConfigError, ConsistencyError, FormatError
 from .evaluation import (apply_prune_mask, finetune_pruned, latency_profile,
                          prune_channels_l2)
 from .sweep import default_sweep_config, parse_sweep_config, run_sweep
-from .training import EarlyStopper, evaluate_model, fit
+from .training import EarlyStopper, fit
 
 TRAINABLE = ("lenet", "lenet-kan", "lenet-kan-full", "tabular-cnn", "tabular-kan")
 COUNTABLE = TRAINABLE + ("alexnet", "alexnet-kan")
@@ -83,7 +83,10 @@ def _load_checkpoint_dir(dir_path: str):
     cfg_path = os.path.join(dir_path, "config.txt")
     if not os.path.exists(cfg_path):
         raise FormatError(f"{dir_path}: no config.txt; not a checkpoint directory")
-    model = M.build_from_config(M.load_model_config(cfg_path))
+    try:
+        model = M.build_from_config(M.load_model_config(cfg_path))
+    except ConfigError as exc:
+        raise FormatError(f"{cfg_path}: {exc}") from None
     ckpt.load_checkpoint(model, dir_path)
     return model
 
@@ -163,9 +166,8 @@ def cmd_prune(args) -> int:
             print("fine-tune failed: non-finite loss", file=sys.stderr)
             return 3
         model.load_state(result.best_state)
-        val_loss, val_acc = evaluate_model(model, val)
-        print(f"val_loss {val_loss:.6f}")
-        print(f"val_acc {val_acc:.6f}")
+        print(f"val_loss {result.report.best_val_loss:.6f}")
+        print(f"val_acc {result.report.best_val_acc:.6f}")
     else:
         apply_prune_mask(model, mask)
     print(f"params_after {model.param_count()}")

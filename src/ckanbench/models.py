@@ -19,6 +19,10 @@ Stock architectures:
 * ``tabular_cnn`` / ``tabular_kan`` -- project a feature vector to a
                         [channels x 16] map, run three 1-D conv stages,
                         and emit per-label probabilities via a sigmoid.
+
+Each spline-kernel model is its classical twin's layout: the layer list
+is written once, and ``_layer_kinds`` builds ``conv{i}`` / ``fc{i}`` or,
+given a spline spec, ``kconv{i}`` / ``kfc{i}`` at the same positions.
 """
 
 from __future__ import annotations
@@ -157,32 +161,60 @@ class ModelGraph:
         return None
 
 
-def _act(relu_on: bool) -> str:
-    return "relu" if relu_on else "identity"
+def _layer_kinds(spec: SplineSpec | None, dtype, conv_cls=L.Conv2D,
+                 kan_conv_cls=L.KanConv2D):
+    """The (conv, linear) factory pair of one layer kind.
+
+    ``conv(i, in_ch, out_ch, k, **geometry)`` and ``linear(i, fin, fout)``
+    build classical layers named ``conv{i}`` / ``fc{i}`` when ``spec`` is
+    None, and otherwise spline-kernel layers on ``spec`` named
+    ``kconv{i}`` / ``kfc{i}``.  The layer kind is all that tells a CKAN
+    from its CNN.
+    """
+    if spec is None:
+        return (lambda i, *a, **geo: conv_cls(*a, **geo, dtype=dtype, name=f"conv{i}"),
+                lambda i, *a: L.Linear(*a, dtype=dtype, name=f"fc{i}"))
+    return (lambda i, *a, **geo: kan_conv_cls(*a, **geo, spec=spec, dtype=dtype,
+                                              name=f"kconv{i}"),
+            lambda i, *a: L.KanLinear(*a, spec=spec, dtype=dtype, name=f"kfc{i}"))
+
+
+def _meta(arch: str, spec: SplineSpec | None, **fields) -> dict:
+    meta = {"arch": arch, **fields}
+    if spec is not None:
+        meta["spec"] = spec
+    return meta
+
+
+def _lenet(arch: str, widths, w: float, relu_on: bool, seed: int, dtype,
+           conv_spec: SplineSpec = None, fc_spec: SplineSpec = None) -> ModelGraph:
+    """The LeNet-5 layout on 28x28 grayscale input: two 5x5 conv stages,
+    each with a 2x2 max-pool, then three linear layers.  ``widths`` are
+    the (conv1, conv2, fc1, fc2) output widths; the convs and the linear
+    head each take the layer kind of their spec."""
+    c1, c2, f1, f2 = widths
+    conv, _ = _layer_kinds(conv_spec, dtype)
+    _, fc = _layer_kinds(fc_spec, dtype)
+    act = "relu" if relu_on else "identity"
+    lyrs = [
+        conv(1, 1, c1, 5, pad=2), L.Activation(act, name="act1"),
+        L.MaxPool2D(2, name="pool1"),
+        conv(2, c1, c2, 5), L.Activation(act, name="act2"),
+        L.MaxPool2D(2, name="pool2"),
+        L.Flatten(name="flatten"),
+        fc(1, c2 * 25, f1), L.Activation(act, name="act3"),
+        fc(2, f1, f2), L.Activation(act, name="act4"),
+        fc(3, f2, 10),
+    ]
+    meta = _meta(arch, conv_spec, width_mult=w, relu=relu_on)
+    return ModelGraph(arch, lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
 
 
 def build_lenet(width_mult: float = 1.0, relu_on: bool = True,
                 seed: int = 0, dtype=T.DEFAULT_DTYPE) -> ModelGraph:
     w = float(width_mult)
-    c1, c2 = math.ceil(6 * w), math.ceil(16 * w)
-    f1, f2 = math.ceil(120 * w), math.ceil(84 * w)
-    kind = _act(relu_on)
-    lyrs = [
-        L.Conv2D(1, c1, 5, stride=1, pad=2, dtype=dtype, name="conv1"),
-        L.Activation(kind, name="act1"),
-        L.MaxPool2D(2, name="pool1"),
-        L.Conv2D(c1, c2, 5, stride=1, pad=0, dtype=dtype, name="conv2"),
-        L.Activation(kind, name="act2"),
-        L.MaxPool2D(2, name="pool2"),
-        L.Flatten(name="flatten"),
-        L.Linear(c2 * 25, f1, dtype=dtype, name="fc1"),
-        L.Activation(kind, name="act3"),
-        L.Linear(f1, f2, dtype=dtype, name="fc2"),
-        L.Activation(kind, name="act4"),
-        L.Linear(f2, 10, dtype=dtype, name="fc3"),
-    ]
-    meta = {"arch": "lenet", "width_mult": w, "relu": relu_on}
-    return ModelGraph("lenet", lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
+    widths = [math.ceil(n * w) for n in (6, 16, 120, 84)]
+    return _lenet("lenet", widths, w, relu_on, seed, dtype)
 
 
 def build_lenet_kan(spec: SplineSpec = None, width_mult: float = 1.0,
@@ -191,27 +223,9 @@ def build_lenet_kan(spec: SplineSpec = None, width_mult: float = 1.0,
     """Quarter-width spline-kernel twin of ``build_lenet``."""
     spec = spec or bspline_spec()
     w = float(width_mult)
-    c1 = max(2, math.ceil(6 * w / 4))
-    c2 = math.ceil(16 * w / 4)
-    f1, f2 = math.ceil(120 * w / 4), math.ceil(84 * w / 4)
-    kind = _act(relu_on)
-    lyrs = [
-        L.KanConv2D(1, c1, 5, stride=1, pad=2, spec=spec, dtype=dtype, name="kconv1"),
-        L.Activation(kind, name="act1"),
-        L.MaxPool2D(2, name="pool1"),
-        L.KanConv2D(c1, c2, 5, stride=1, pad=0, spec=spec, dtype=dtype, name="kconv2"),
-        L.Activation(kind, name="act2"),
-        L.MaxPool2D(2, name="pool2"),
-        L.Flatten(name="flatten"),
-        L.KanLinear(c2 * 25, f1, spec=spec, dtype=dtype, name="kfc1"),
-        L.Activation(kind, name="act3"),
-        L.KanLinear(f1, f2, spec=spec, dtype=dtype, name="kfc2"),
-        L.Activation(kind, name="act4"),
-        L.KanLinear(f2, 10, spec=spec, dtype=dtype, name="kfc3"),
-    ]
-    meta = {"arch": "lenet_kan", "width_mult": w, "relu": relu_on,
-            "spec": spec}
-    return ModelGraph("lenet_kan", lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
+    c1, c2, f1, f2 = (math.ceil(n * w / 4) for n in (6, 16, 120, 84))
+    return _lenet("lenet_kan", (max(2, c1), c2, f1, f2), w, relu_on, seed,
+                  dtype, spec, spec)
 
 
 def build_lenet_kan_full(spec: SplineSpec = None, width_mult: float = 1.0,
@@ -225,25 +239,8 @@ def build_lenet_kan_full(spec: SplineSpec = None, width_mult: float = 1.0,
     """
     spec = spec or bspline_spec()
     w = float(width_mult)
-    c1, c2 = math.ceil(6 * w), math.ceil(16 * w)
-    kind = _act(relu_on)
-    lyrs = [
-        L.KanConv2D(1, c1, 5, stride=1, pad=2, spec=spec, dtype=dtype, name="kconv1"),
-        L.Activation(kind, name="act1"),
-        L.MaxPool2D(2, name="pool1"),
-        L.KanConv2D(c1, c2, 5, stride=1, pad=0, spec=spec, dtype=dtype, name="kconv2"),
-        L.Activation(kind, name="act2"),
-        L.MaxPool2D(2, name="pool2"),
-        L.Flatten(name="flatten"),
-        L.Linear(c2 * 25, 120, dtype=dtype, name="fc1"),
-        L.Activation(kind, name="act3"),
-        L.Linear(120, 84, dtype=dtype, name="fc2"),
-        L.Activation(kind, name="act4"),
-        L.Linear(84, 10, dtype=dtype, name="fc3"),
-    ]
-    meta = {"arch": "lenet_kan_full", "width_mult": w, "relu": relu_on,
-            "spec": spec}
-    return ModelGraph("lenet_kan_full", lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
+    widths = (math.ceil(6 * w), math.ceil(16 * w), 120, 84)
+    return _lenet("lenet_kan_full", widths, w, relu_on, seed, dtype, spec)
 
 
 _ALEXNET_CONVS = [
@@ -258,48 +255,29 @@ _ALEXNET_CONVS = [
 
 def build_alexnet(kan: bool = False, spec: SplineSpec = None, seed: int = 0,
                   dtype=T.DEFAULT_DTYPE) -> ModelGraph:
-    """Canonical 224x224x3 stack; mostly used for counting, not training."""
-    spec = spec or bspline_spec()
+    """Canonical 224x224x3 stack; mostly used for counting, not training.
+    ``kan=True`` quarters every width and takes spline-kernel layers."""
+    spec = (spec or bspline_spec()) if kan else None
     div = 4 if kan else 1
-    convs = [(math.ceil(c / div), k, s, p) for c, k, s, p in _ALEXNET_CONVS]
-    f1 = f2 = math.ceil(4096 / div)
-    lyrs = []
-    in_ch = 3
-    pool_after = {0, 1, 4}
-    for i, (out_ch, k, s, p) in enumerate(convs):
-        if kan:
-            lyrs.append(L.KanConv2D(in_ch, out_ch, k, stride=s, pad=p, spec=spec,
-                                    dtype=dtype, name=f"kconv{i + 1}"))
-        else:
-            lyrs.append(L.Conv2D(in_ch, out_ch, k, stride=s, pad=p,
-                                 dtype=dtype, name=f"conv{i + 1}"))
-        lyrs.append(L.Activation("relu", name=f"act{i + 1}"))
-        if i in pool_after:
-            lyrs.append(L.MaxPool2D(3, stride=2, name=f"pool{i + 1}"))
+    conv, fc = _layer_kinds(spec, dtype)
+    lyrs, in_ch = [], 3
+    for i, (out_ch, k, s, p) in enumerate(_ALEXNET_CONVS, 1):
+        out_ch = math.ceil(out_ch / div)
+        lyrs += [conv(i, in_ch, out_ch, k, stride=s, pad=p),
+                 L.Activation("relu", name=f"act{i}")]
+        if i in (1, 2, 5):
+            lyrs.append(L.MaxPool2D(3, stride=2, name=f"pool{i}"))
         in_ch = out_ch
-    lyrs.append(L.Flatten(name="flatten"))
-    flat = in_ch * 6 * 6
-    if kan:
-        lyrs += [
-            L.KanLinear(flat, f1, spec=spec, dtype=dtype, name="kfc1"),
-            L.Activation("relu", name="act6"),
-            L.KanLinear(f1, f2, spec=spec, dtype=dtype, name="kfc2"),
-            L.Activation("relu", name="act7"),
-            L.KanLinear(f2, 1000, spec=spec, dtype=dtype, name="kfc3"),
-        ]
-    else:
-        lyrs += [
-            L.Linear(flat, f1, dtype=dtype, name="fc1"),
-            L.Activation("relu", name="act6"),
-            L.Linear(f1, f2, dtype=dtype, name="fc2"),
-            L.Activation("relu", name="act7"),
-            L.Linear(f2, 1000, dtype=dtype, name="fc3"),
-        ]
-    name = "alexnet_kan" if kan else "alexnet"
-    meta = {"arch": name}
-    if kan:
-        meta["spec"] = spec
-    return ModelGraph(name, lyrs, (3, 224, 224), 1000, meta=meta, seed=seed)
+    f = math.ceil(4096 / div)
+    lyrs += [
+        L.Flatten(name="flatten"),
+        fc(1, in_ch * 6 * 6, f), L.Activation("relu", name="act6"),
+        fc(2, f, f), L.Activation("relu", name="act7"),
+        fc(3, f, 1000),
+    ]
+    arch = "alexnet_kan" if kan else "alexnet"
+    return ModelGraph(arch, lyrs, (3, 224, 224), 1000, meta=_meta(arch, spec),
+                      seed=seed)
 
 
 def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
@@ -314,36 +292,26 @@ def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
     """
     if n_features < 1 or n_labels < 1:
         raise ConfigError("n_features and n_labels must be positive")
-    spec = spec or bspline_spec()
+    spec = (spec or bspline_spec()) if kan else None
     div = 4 if kan else 1
     ch0, ch1, ch2 = 256 // div, 512 // div, 256 // div
+    conv, _ = _layer_kinds(spec, dtype, L.Conv1D, L.KanConv1D)
     lyrs = [
         L.Linear(n_features, ch0 * 16, dtype=dtype, name="proj"),
         L.Activation("relu", name="act0"),
         L.Reshape((ch0, 16), name="reshape"),
-    ]
-
-    def conv(i, cin, cout):
-        if kan:
-            return L.KanConv1D(cin, cout, 5, pad=2, spec=spec,
-                               dtype=dtype, name=f"kconv{i}")
-        return L.Conv1D(cin, cout, 5, pad=2, dtype=dtype, name=f"conv{i}")
-
-    lyrs += [
-        conv(1, ch0, ch1), L.Activation("relu", name="act1"),
+        conv(1, ch0, ch1, 5, pad=2), L.Activation("relu", name="act1"),
         L.MaxPool1D(2, name="pool1"),
-        conv(2, ch1, ch1), L.Activation("relu", name="act2"),
+        conv(2, ch1, ch1, 5, pad=2), L.Activation("relu", name="act2"),
         L.MaxPool1D(2, name="pool2"),
-        conv(3, ch1, ch2), L.Activation("relu", name="act3"),
+        conv(3, ch1, ch2, 5, pad=2), L.Activation("relu", name="act3"),
         L.GlobalAvgPool1D(name="gap"),
         L.Linear(ch2, n_labels, dtype=dtype, name="head"),
         L.Activation("sigmoid", name="out"),
     ]
-    name = "tabular_kan" if kan else "tabular_cnn"
-    meta = {"arch": name, "n_features": n_features, "n_labels": n_labels}
-    if kan:
-        meta["spec"] = spec
-    return ModelGraph(name, lyrs, (n_features,), n_labels,
+    arch = "tabular_kan" if kan else "tabular_cnn"
+    meta = _meta(arch, spec, n_features=n_features, n_labels=n_labels)
+    return ModelGraph(arch, lyrs, (n_features,), n_labels,
                       output_kind="probs", meta=meta, seed=seed)
 
 
@@ -366,21 +334,41 @@ def model_config(model: ModelGraph) -> dict[str, str]:
     return cfg
 
 
+def _float_pair(text: str) -> tuple[float, float]:
+    lo, hi = text.split(",")
+    return float(lo), float(hi)
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError("expected on or off")
+    return text == "on"
+
+
 def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
+    """Rebuild ``model_config``'s graph; an unknown arch, or a key that is
+    missing or does not parse, raises ConfigError naming it."""
     arch = cfg.get("arch")
     if arch not in ARCH_NAMES:
         raise ConfigError(f"unknown arch {arch!r}")
-    seed = int(cfg.get("seed", 0))
+
+    def get(key, parse, *default):
+        if key not in cfg:
+            if not default:
+                raise ConfigError(f"config has no {key!r}")
+            return default[0]
+        try:
+            return parse(cfg[key])
+        except ValueError as exc:
+            raise ConfigError(f"bad {key}={cfg[key]!r}: {exc}") from None
+
+    seed = get("seed", int, 0)
     spec = None
     if "family" in cfg:
-        domain = None
-        if "domain" in cfg:
-            lo, hi = cfg["domain"].split(",")
-            domain = (float(lo), float(hi))
-        spec = SplineSpec(cfg["family"], int(cfg.get("grid", 5)),
-                          int(cfg.get("degree", 3)), domain)
-    w = float(cfg.get("width_mult", 1.0))
-    relu_on = cfg.get("relu", "on") == "on"
+        spec = SplineSpec(cfg["family"], get("grid", int, 5),
+                          get("degree", int, 3), get("domain", _float_pair, None))
+    w = get("width_mult", float, 1.0)
+    relu_on = get("relu", _on_off, True)
     if arch == "lenet":
         return build_lenet(w, relu_on, seed, dtype)
     if arch == "lenet_kan":
@@ -391,10 +379,8 @@ def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
         return build_alexnet(False, spec, seed, dtype)
     if arch == "alexnet_kan":
         return build_alexnet(True, spec, seed, dtype)
-    n_features = int(cfg["n_features"])
-    n_labels = int(cfg["n_labels"])
-    return build_tabular_cnn(n_features, n_labels, arch == "tabular_kan",
-                             spec, seed, dtype)
+    return build_tabular_cnn(get("n_features", int), get("n_labels", int),
+                             arch == "tabular_kan", spec, seed, dtype)
 
 
 def save_model_config(path, cfg: dict[str, str]) -> None:
@@ -403,15 +389,19 @@ def save_model_config(path, cfg: dict[str, str]) -> None:
             fh.write(f"{key}={val}\n")
 
 
-def load_model_config(path) -> dict[str, str]:
-    cfg = {}
+def read_key_values(path):
+    """Yield (line number, key, value) for each ``key=value`` line of a
+    text file; blank lines and ``#`` comments are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
-    return cfg
+            yield lineno, key.strip(), val.strip()
+
+
+def load_model_config(path) -> dict[str, str]:
+    return {key: val for _, key, val in read_key_values(path)}

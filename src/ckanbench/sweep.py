@@ -34,7 +34,7 @@ import numpy as np
 from .data import Dataset, subset_dataset
 from .errors import ConfigError
 from .evaluation import (finetune_pruned, latency_profile, prune_channels_l2)
-from .models import build_lenet_kan_full
+from .models import build_lenet_kan_full, read_key_values
 from .splines import SplineSpec, bspline_spec, rbf_spec
 from .training import EarlyStopper, FitResult, fit
 
@@ -88,32 +88,25 @@ def parse_sweep_config(path: str) -> SweepConfig:
     """key=value file; list values are comma separated; relu options are
     on/off tokens."""
     cfg = SweepConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            try:
-                if key in _LIST_FIELDS:
-                    conv = _LIST_FIELDS[key]
-                    setattr(cfg, key, [conv(tok) for tok in val.split(",")])
-                elif key == "relu_options":
-                    opts = []
-                    for tok in val.split(","):
-                        tok = tok.strip().lower()
-                        if tok not in ("on", "off"):
-                            raise ValueError(f"relu option must be on/off, got {tok!r}")
-                        opts.append(tok == "on")
-                    cfg.relu_options = opts
-                elif key in _SCALAR_FIELDS:
-                    setattr(cfg, key, _SCALAR_FIELDS[key](val))
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, key, val in read_key_values(path):
+        try:
+            if key in _LIST_FIELDS:
+                conv = _LIST_FIELDS[key]
+                setattr(cfg, key, [conv(tok) for tok in val.split(",")])
+            elif key == "relu_options":
+                opts = []
+                for tok in val.split(","):
+                    tok = tok.strip().lower()
+                    if tok not in ("on", "off"):
+                        raise ValueError(f"relu option must be on/off, got {tok!r}")
+                    opts.append(tok == "on")
+                cfg.relu_options = opts
+            elif key in _SCALAR_FIELDS:
+                setattr(cfg, key, _SCALAR_FIELDS[key](val))
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     validate_sweep_config(cfg)
     return cfg
 

@@ -230,6 +230,62 @@ class TestPrune:
         assert code == 2
 
 
+    def test_finetune_evaluates_only_inside_fit(self, kan_checkpoint,
+                                                synth_dir, capsys,
+                                                monkeypatch):
+        # fine-tuning reports the best state's validation numbers; prune
+        # prints those instead of evaluating that state again
+        import ckanbench.cli as cli_mod
+        import ckanbench.training as training
+
+        evals, reports = [], []
+        real_outputs = training.batched_outputs
+        real_finetune = cli_mod.finetune_pruned
+
+        def counting_outputs(model, inputs, *a, **k):
+            evals.append(len(inputs))
+            return real_outputs(model, inputs, *a, **k)
+
+        def recording_finetune(*a, **k):
+            result = real_finetune(*a, **k)
+            reports.append(result.report)
+            return result
+
+        monkeypatch.setattr(training, "batched_outputs", counting_outputs)
+        monkeypatch.setattr(cli_mod, "finetune_pruned", recording_finetune)
+        code = run_cli("prune", "--checkpoint", kan_checkpoint,
+                       "--ratio", "0.25", "--finetune-epochs", "2",
+                       "--data", synth_dir, "--subset", "128",
+                       "--batch", "64")
+        assert code == 0
+        assert len(evals) == 2          # one validation pass per epoch
+        (report,) = reports
+        out = capsys.readouterr().out
+        assert f"\nval_loss {report.best_val_loss:.6f}\n" in out
+        assert f"\nval_acc {report.best_val_acc:.6f}\n" in out
+
+
+class TestMalformedCheckpointConfig:
+    @pytest.mark.parametrize("text,key", [
+        ("arch=tabular_cnn\nseed=0\n", "n_features"),
+        ("arch=lenet\nseed=x\n", "seed"),
+        ("arch=lenet_kan_full\nfamily=rbf\ndomain=1\n", "domain"),
+        ("arch=lenet\nrelu=yes\n", "relu"),
+    ], ids=["no-n_features", "bad-seed", "bad-domain", "bad-relu"])
+    @pytest.mark.parametrize("command", [
+        ("profile", "--iters", "1", "--warmup", "0"),
+        ("prune", "--ratio", "0.1", "--finetune-epochs", "0"),
+    ], ids=["profile", "prune"])
+    def test_is_a_data_error_naming_file_and_key(self, tmp_path, capsys,
+                                                 text, key, command):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(text)
+        code = run_cli(command[0], "--checkpoint", str(tmp_path), *command[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {cfg_path}: ")
+        assert key in err
+
 class TestSweep:
     def _cfg_file(self, tmp_path):
         path = tmp_path / "sweep.cfg"

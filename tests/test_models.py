@@ -252,6 +252,32 @@ class TestModelGraph:
         assert all(isinstance(l, KanConv2D) for l in km.kan_conv_layers())
 
 
+
+class TestTwinLayouts:
+    """Each CKAN is its CNN's layout with spline layers swapped in."""
+
+    @pytest.mark.parametrize("cnn,kan", [
+        (build_lenet, lambda: build_lenet_kan(spec=rbf_spec(4))),
+        (build_lenet, lambda: build_lenet_kan_full(spec=bspline_spec(5, 3))),
+        (build_alexnet, lambda: build_alexnet(kan=True)),
+        (lambda: build_tabular_cnn(12, 4),
+         lambda: build_tabular_cnn(12, 4, kan=True, spec=rbf_spec(3))),
+    ], ids=["lenet_kan", "lenet_kan_full", "alexnet_kan", "tabular_kan"])
+    def test_position_by_position(self, cnn, kan):
+        # the undrawn layer lists: the layout alone, no weights
+        cnn_layers, kan_layers = cnn()._layers, kan()._layers
+        assert len(kan_layers) == len(cnn_layers)
+        swapped = 0
+        for c, k in zip(cnn_layers, kan_layers):
+            c_cls, k_cls = type(c).__name__, type(k).__name__
+            assert k_cls in (c_cls, "Kan" + c_cls)
+            assert k.name in (c.name, "k" + c.name)
+            assert (k_cls == c_cls) == (k.name == c.name)
+            swapped += k_cls != c_cls
+            for attr in ("kh", "kw", "stride", "pad", "length_pad", "wh", "ww"):
+                assert getattr(k, attr, None) == getattr(c, attr, None), (k.name, attr)
+        assert swapped >= 2
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("build", [
         lambda: build_lenet(width_mult=1.5, relu_on=False, seed=3),
