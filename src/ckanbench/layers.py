@@ -34,14 +34,14 @@ with ``input_grad=False`` evaluates none.
 
 A convolution zero-pads its input before the map, then convolves the
 map with the kernel in blocks of samples.  A stride-1 kernel more than
-one row high builds no columns: each block is laid out channel-major as
-one flat array in which every kernel tap is a contiguous slice, and the
-forward and input gradient run one GEMM per kernel row over those
-slices, the weight gradient one per tap (blocks capped at
-``FLAT_BLOCK_BYTES``).  Strided and one-row kernels (the 1-D layers)
-run im2col and one GEMM per block, with the block's columns capped at
-``BLOCK_BYTES``, and col2im for the input gradient; backward rebuilds
-each block from the cached map.
+one row high builds no columns: each block is stacked row-interleaved,
+kw column shifts of every row, so that each kernel row's taps of the
+kept Ho x Wo outputs are one contiguous slice.  Forward, weight
+gradient and input gradient each run one GEMM per kernel row over those
+slices (blocks' outputs capped at ``FLAT_BLOCK_BYTES``).  Strided and
+one-row kernels (the 1-D layers) run im2col and one GEMM per block, with
+the block's columns capped at ``BLOCK_BYTES``, and col2im for the input
+gradient.  Backward rebuilds each block from the cached map.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -382,11 +382,10 @@ class Linear(_Weighted):
 # measured alike, so this bounds memory more than it tunes speed.
 BLOCK_BYTES = 4 << 20
 
-# Bytes of the larger of a block's channel-major input map [C, m] and its
-# wide output [O, m] on the shifted-GEMM path (stride 1, a kernel more than
-# one row high).  Each kernel row's GEMM re-reads the block, so it is kept
-# cache-sized: 128 KiB ran faster than 256 KiB to 1 MiB, and than blocks
-# of 8 samples.
+# Bytes of a block's output [O, Ho*nb*Wo] on the row-GEMM path (stride 1,
+# a kernel more than one row high).  Every kernel row's GEMM rewrites that
+# output, so it is kept cache-sized; sizing by it ran faster on both LeNet
+# convolutions than sizing by the input map.
 FLAT_BLOCK_BYTES = 128 << 10
 
 
@@ -422,89 +421,81 @@ def _conv_blocks(xp, kh, kw, stride, dtype=None):
         yield s, e, T.im2col_batch(xp[s:e], kh, kw, stride, out=cols)
 
 
-# The shifted-GEMM path.  A block of nb samples of the padded map
-# [N, C, Hp, Wp] is laid out channel-major as flat [C, m + tail], with
-# m = nb*Hp*Wp and a zero tail of (kh - 1)*Wp + kw - 1 columns.  Tap
-# (ki, kj) of every output position p is then flat[:, p + ki*Wp + kj], so
-# each tap is one contiguous slice.  Positions with i >= Ho or j >= Wo
-# read across a row or sample edge; they are the "wide" waste that the
-# forward crops and the backward gives a zero output gradient.
+# The row-GEMM path.  A block of nb samples of the padded map [N, C, H, W]
+# is stacked row-interleaved as [C, kw, H, nb, Wo]: slot kj holds columns
+# kj..kj+Wo of every row.  Rows are outermost, so in the [C*kw, H*nb*Wo]
+# stack kernel row ki's taps of every kept output position are one
+# contiguous column slice, rows ki..ki+Ho.  Forward and weight gradient
+# are one GEMM per kernel row over exactly the Ho x Wo outputs; the input
+# gradient is the forward's GEMMs over the zero-bordered output gradient.
 
-def _flat_blocks(xp, tail, step, dtype):
-    """Yield (start, stop, flat) per block of ``step`` samples of ``xp``
-    [N, C, H, W], ``flat`` being the block channel-major with ``tail``
-    zero columns after it (only wide positions read them; zeros keep
-    those finite, so a zero output gradient cancels them).  Every block
-    is written into one buffer, so it is valid only until the next block
-    is yielded."""
+def _row_stack(xb, kw, buf):
+    """The [C*kw, H*nb*Wo] stack of the block ``xb`` [nb, C, H, W],
+    written into the front of ``buf``."""
+    nb, c, h, w = xb.shape
+    wo = w - kw + 1
+    stack = buf[:c * kw * h * nb * wo].reshape(c, kw, h, nb, wo)
+    for kj in range(kw):
+        stack[:, kj] = xb[..., kj:kj + wo].transpose(1, 2, 0, 3)
+    return stack.reshape(c * kw, h * nb * wo)
+
+
+def _row_blocks(xp, kw, step, dtype):
+    """Yield (start, stop, stack) per block of ``step`` samples of ``xp``
+    [N, C, H, W].  Every stack is written into one buffer, so it is valid
+    only until the next block is yielded."""
     n, c, h, w = xp.shape
-    buf = np.empty(c * (min(step, n) * h * w + tail), dtype=dtype)
+    buf = np.empty(c * kw * h * min(step, n) * (w - kw + 1), dtype=dtype)
     for s in range(0, n, step):
         e = min(s + step, n)
-        m = (e - s) * h * w
-        flat = buf[:c * (m + tail)].reshape(c, m + tail)
-        flat[:, :m].reshape(c, e - s, h, w)[...] = xp[s:e].transpose(1, 0, 2, 3)
-        flat[:, m:] = 0
-        yield s, e, flat
+        yield s, e, _row_stack(xp[s:e], kw, buf)
 
 
-class _RowGemms:
-    """The stride-1 valid convolution of a flat block with the kernel
-    ``w4`` [O, C, kh, kw] over maps ``w`` wide: per kernel row ki one GEMM
-    of that row, [O, C*kw], with the slice at ki*w of the block's kw
-    column shifts stacked into [C*kw, m + (kh - 1)*w].  Buffers are sized
-    once for blocks of up to ``most`` positions."""
-
-    def __init__(self, w4, w, most, dtype):
-        o, c, kh, kw = w4.shape
-        self.w, self.kw = w, kw
-        self.rows = w4.transpose(2, 0, 1, 3).reshape(kh, o, c * kw).astype(dtype, copy=False)
-        self.stack = np.empty(c * kw * (most + (kh - 1) * w), dtype=dtype)
-        self.acc = np.empty(o * most, dtype=dtype)
-        self.part = np.empty(o * most, dtype=dtype)
-
-    def __call__(self, flat, m):
-        """The [O, m] output over the first m positions of ``flat``, which
-        holds at least (kh - 1)*w + kw - 1 columns after them."""
-        kh, o, ckw = self.rows.shape
-        w, kw = self.w, self.kw
-        span = m + (kh - 1) * w
-        stack = self.stack[:ckw * span].reshape(ckw // kw, kw, span)
-        for kj in range(kw):
-            stack[:, kj] = flat[:, kj:kj + span]
-        stack = stack.reshape(ckw, span)
-        acc = self.acc[:o * m].reshape(o, m)
-        part = self.part[:o * m].reshape(o, m)
-        np.matmul(self.rows[0], stack[:, :m], out=acc)
-        for ki in range(1, kh):
-            np.matmul(self.rows[ki], stack[:, ki * w:ki * w + m], out=part)
-            acc += part
-        return acc
+def _kernel_rows(w4, dtype):
+    """The kernel [O, C, kh, kw] as kh row weights [kh, O, C*kw]."""
+    o, c, kh, kw = w4.shape
+    return w4.transpose(2, 0, 1, 3).reshape(kh, o, c * kw).astype(dtype, copy=False)
 
 
-def _flat_step(c, o, h, w, dtype):
-    """Samples per flat block: the larger of [C, m] and [O, m] fits in
+def _row_conv(rows, stack, m, bufs):
+    """Valid stride-1 convolution of a stack with the row weights
+    ``rows`` [kh, O, C*kw]: the [O, m] output (m = Ho*nb*Wo), the sum
+    over kernel rows of their weights times their slice of the stack,
+    written into the front of ``bufs`` [2, >= O*m]."""
+    kh, o = rows.shape[:2]
+    acc, part = bufs[:, :o * m].reshape(2, o, m)
+    u = (stack.shape[1] - m) // (kh - 1)    # columns per stacked row, nb*Wo
+    np.matmul(rows[0], stack[:, :m], out=acc)
+    for ki in range(1, kh):
+        np.matmul(rows[ki], stack[:, ki * u:ki * u + m], out=part)
+        acc += part
+    return acc
+
+
+def _row_step(o, ho, wo, dtype):
+    """Samples per row-GEMM block: the output block [O, Ho*nb*Wo] fits in
     ``FLAT_BLOCK_BYTES``, with at least one sample per block."""
-    return max(1, FLAT_BLOCK_BYTES // (max(c, o) * h * w * dtype.itemsize))
+    return max(1, FLAT_BLOCK_BYTES // (o * ho * wo * dtype.itemsize))
 
 
 def _conv_forward(xp, w2, bias, kh, kw, stride):
     """Valid convolution of the padded input ``xp`` [N, C, H, W] with the
     weight ``w2`` [O, C*kh*kw] into the [N, O, Ho, Wo] output, per block
-    of samples: for stride 1 and kh > 1, shifted GEMMs over the flat
-    block, cropped to Ho x Wo; else im2col and one GEMM."""
+    of samples: for stride 1 and kh > 1, row GEMMs over the stacked
+    block; else im2col and one GEMM."""
     n, c, h, w = xp.shape
     o = w2.shape[0]
     ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
     dtype = np.result_type(xp, w2)
     out = np.empty((n, o, ho, wo), dtype=dtype)
     if stride == 1 and kh > 1:
-        step = _flat_step(c, o, h, w, dtype)
-        conv = _RowGemms(w2.reshape(o, c, kh, kw), w, min(step, n) * h * w, dtype)
-        for s, e, flat in _flat_blocks(xp, (kh - 1) * w + kw - 1, step, dtype):
-            acc = conv(flat, (e - s) * h * w)
-            acc += bias[:, None]
-            out[s:e] = acc.reshape(o, e - s, h, w)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+        step = _row_step(o, ho, wo, dtype)
+        rows = _kernel_rows(w2.reshape(o, c, kh, kw), dtype)
+        bufs = np.empty((2, o * ho * min(step, n) * wo), dtype=dtype)
+        for s, e, stack in _row_blocks(xp, kw, step, dtype):
+            ob = _row_conv(rows, stack, ho * (e - s) * wo, bufs)
+            ob += bias[:, None]
+            out[s:e] = ob.reshape(o, ho, e - s, wo).transpose(2, 0, 1, 3)
         return out
     for s, e, cols in _conv_blocks(xp, kh, kw, stride):
         ob = w2 @ cols.reshape(cols.shape[0], -1)
@@ -520,7 +511,7 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
     im2col path each block rebuilds its columns from ``xp``; its
     input-gradient columns then overwrite them in the same buffer."""
     if stride == 1 and kh > 1:
-        return _shift_backward(dout, xp, w2, kh, kw, input_grad)
+        return _row_backward(dout, xp, w2, kh, kw, input_grad)
     o = dout.shape[1]
     dtype = np.result_type(dout, xp, w2)
     gw = np.zeros(w2.shape, dtype=dtype)
@@ -537,42 +528,43 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
     return gw, gb, dxp
 
 
-def _shift_backward(dout, xp, w2, kh, kw, input_grad):
-    """Stride-1 ``_conv_backward`` over flat blocks.  The output gradient
-    is laid out wide, D [O, m] with zeros at the wide positions and
-    ``tail`` zero columns before it.  Tap t at offset off adds
-    D @ flat[:, off:off + m]^T to the weight gradient, one GEMM per tap.
-    The input gradient sums W_t^T @ D shifted by each tap's offset: the
-    same row GEMMs as the forward, over the zero-led D with the kernel
-    flipped and its channel axes swapped."""
+def _row_backward(dout, xp, w2, kh, kw, input_grad):
+    """Stride-1 ``_conv_backward`` over the stacked blocks of ``xp``, with
+    the output gradient G laid out [O, Ho*nb*Wo].  Kernel row ki adds
+    its stack slice times G^T, [C*kw, O], to the weight gradient.  The
+    input gradient is the forward's row GEMMs over G zero-bordered to
+    [nb, O, H + kh - 1, W + kw - 1], with the kernel flipped and its
+    channel axes swapped."""
     n, c, h, w = xp.shape
     o, ho, wo = dout.shape[1:]
     dtype = np.result_type(dout, xp, w2)
-    tail = (kh - 1) * w + kw - 1
-    step = _flat_step(c, o, h, w, dtype)
-    most = min(step, n) * h * w
-    offsets = [ki * w + kj for ki in range(kh) for kj in range(kw)]
-    gw = np.zeros((kh * kw, o, c), dtype=dtype)
-    wide_buf = np.empty(o * (tail + most), dtype=dtype)
+    step = _row_step(o, ho, wo, dtype)
+    nb = min(step, n)
+    gw = np.zeros((kh, c * kw, o), dtype=dtype)
+    gbuf = np.empty(o * ho * nb * wo, dtype=dtype)
     dxp = None
     if input_grad:
-        w4 = w2.reshape(o, c, kh, kw)
-        adjoint = _RowGemms(w4[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), w, most, dtype)
+        adjoint = _kernel_rows(w2.reshape(o, c, kh, kw)[:, :, ::-1, ::-1]
+                            .transpose(1, 0, 2, 3), dtype)
+        # sample-major, so every block's prefix keeps the zero border
+        bordered = np.zeros((nb, o, h + kh - 1, w + kw - 1), dtype=dtype)
+        dstack = np.empty(o * kw * (h + kh - 1) * nb * w, dtype=dtype)
+        bufs = np.empty((2, c * h * nb * w), dtype=dtype)
         dxp = np.empty(xp.shape, dtype=dtype)
-    for s, e, flat in _flat_blocks(xp, tail, step, dtype):
-        m = (e - s) * h * w
-        led = wide_buf[:o * (tail + m)].reshape(o, tail + m)
-        wide = led[:, tail:]
-        wide4 = wide.reshape(o, e - s, h, w)
-        wide4[:, :, :ho, :wo] = dout[s:e].transpose(1, 0, 2, 3)
-        wide4[:, :, ho:] = 0
-        wide4[:, :, :ho, wo:] = 0
-        led[:, :tail] = 0
-        for t, off in enumerate(offsets):
-            gw[t] += wide @ flat[:, off:off + m].T
+    for s, e, stack in _row_blocks(xp, kw, step, dtype):
+        b = e - s
+        m, u = ho * b * wo, b * wo
+        g = gbuf[:o * m].reshape(o, ho, b, wo)
+        g[...] = dout[s:e].transpose(1, 2, 0, 3)
+        g = g.reshape(o, m)
+        for ki in range(kh):
+            gw[ki] += stack[:, ki * u:ki * u + m] @ g.T
         if input_grad:
-            dxp[s:e] = adjoint(led, m).reshape(c, e - s, h, w).transpose(1, 0, 2, 3)
-    gw = gw.transpose(1, 2, 0).reshape(o, -1)
+            bordered[:b, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = dout[s:e]
+            dx = _row_conv(adjoint, _row_stack(bordered[:b], kw, dstack),
+                           h * b * w, bufs)
+            dxp[s:e] = dx.reshape(c, h, b, w).transpose(2, 0, 1, 3)
+    gw = gw.reshape(kh, c, kw, o).transpose(3, 1, 0, 2).reshape(o, -1)
     return gw, dout.sum(axis=(0, 2, 3), dtype=dtype), dxp
 
 

@@ -345,6 +345,13 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
+def _width(text: str) -> float:
+    w = float(text)
+    if not 0 < w < math.inf:
+        raise ValueError("expected a finite width > 0")
+    return w
+
+
 def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
     """Rebuild ``model_config``'s graph; an unknown arch, or a key that is
     missing or does not parse, raises ConfigError naming it."""
@@ -367,7 +374,7 @@ def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
     if "family" in cfg:
         spec = SplineSpec(cfg["family"], get("grid", int, 5),
                           get("degree", int, 3), get("domain", _float_pair, None))
-    w = get("width_mult", float, 1.0)
+    w = get("width_mult", _width, 1.0)
     relu_on = get("relu", _on_off, True)
     if arch == "lenet":
         return build_lenet(w, relu_on, seed, dtype)

@@ -5,8 +5,8 @@ float32 by default; verification (finite-difference) runs use float64.
 ``im2col_batch`` and its exact adjoint ``col2im_batch`` serve the
 convolutions with stride > 1 or a kernel one row high: im2col + one
 matrix multiply per block of samples (the layers size the blocks, and
-run stride-1 kernels of more than one row as shifted GEMMs without
-columns).  A spline-kernel layer first expands its input into a
+run stride-1 kernels of more than one row as one GEMM per kernel row
+without columns).  A spline-kernel layer first expands its input into a
 per-pixel basis map and convolves the map.
 """
 

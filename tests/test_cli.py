@@ -60,6 +60,11 @@ class TestCount:
         assert run_cli("count", "--model", "lenet", "--bogus") == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["0", "-1", "nan"])
+    def test_bad_width_exits_1(self, capsys, width):
+        assert run_cli("count", "--model", "lenet", "--width-mult", width) == 1
+        assert "width_mult" in capsys.readouterr().err
+
     def test_unknown_model_exits_1(self, capsys):
         assert run_cli("count", "--model", "resnet") == 1
 
@@ -271,7 +276,8 @@ class TestMalformedCheckpointConfig:
         ("arch=lenet\nseed=x\n", "seed"),
         ("arch=lenet_kan_full\nfamily=rbf\ndomain=1\n", "domain"),
         ("arch=lenet\nrelu=yes\n", "relu"),
-    ], ids=["no-n_features", "bad-seed", "bad-domain", "bad-relu"])
+        ("arch=lenet\nwidth_mult=0\n", "width_mult"),
+    ], ids=["no-n_features", "bad-seed", "bad-domain", "bad-relu", "bad-width"])
     @pytest.mark.parametrize("command", [
         ("profile", "--iters", "1", "--warmup", "0"),
         ("prune", "--ratio", "0.1", "--finetune-epochs", "0"),

@@ -499,7 +499,7 @@ class TestSampleBlocks:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-# the stride-1 shifted-GEMM path, in float64, with its per-sample input shape
+# the stride-1 row-GEMM path, in float64, with its per-sample input shape
 FLAT_BLOCKED_CASES = {
     "conv2d-3x2-pad2": (lambda g: Conv2D(2, 3, 3, 2, pad=2, rng=g,
                                          dtype=np.float64), (2, 6, 7)),
@@ -511,12 +511,25 @@ FLAT_BLOCKED_CASES = {
 
 
 def _float64_flat_bytes(lyr, in_shape):
-    """Bytes of one sample's float64 flat block in the layer: the larger
-    of its padded map and its wide output, channel-major."""
-    c, h, w = in_shape
-    if isinstance(lyr, KanConv2D):
-        c *= lyr.spec.basis_count + 1
-    return max(c, lyr.out_ch) * (h + 2 * lyr.pad) * (w + 2 * lyr.pad) * 8
+    """Bytes of one sample's float64 output block in the layer, the
+    [O, Ho*Wo] that the row-GEMM path sizes its blocks by."""
+    return int(np.prod(lyr.output_shape(in_shape))) * 8
+
+
+def _spy_row_blocks(monkeypatch):
+    """The list of samples per block that ``_row_blocks`` will yield."""
+    import ckanbench.layers as layers_mod
+
+    seen = []
+    row_blocks = layers_mod._row_blocks
+
+    def spy(*args, **kw):
+        for s, e, stack in row_blocks(*args, **kw):
+            seen.append(e - s)
+            yield s, e, stack
+
+    monkeypatch.setattr(layers_mod, "_row_blocks", spy)
+    return seen
 
 
 class TestFlatSampleBlocks:
@@ -531,15 +544,7 @@ class TestFlatSampleBlocks:
         monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES", 1 << 40)
         whole = _pass(lyr, x, dout)
 
-        seen = []
-        flat_blocks = layers_mod._flat_blocks
-
-        def spy(*args, **kw):
-            for s, e, flat in flat_blocks(*args, **kw):
-                seen.append(e - s)
-                yield s, e, flat
-
-        monkeypatch.setattr(layers_mod, "_flat_blocks", spy)
+        seen = _spy_row_blocks(monkeypatch)
         monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES",
                             3 * _float64_flat_bytes(lyr, in_shape))
         blocked = _pass(lyr, x, dout)
@@ -547,6 +552,69 @@ class TestFlatSampleBlocks:
         assert seen == [3, 3, 1, 3, 3, 1]
         for got, want in zip(blocked, whole):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _im2col_reference(x, weight, bias, pad, dout):
+    """Output, weight gradient and input gradient of a stride-1 conv from
+    ``oracles.im2col_naive`` columns, the input gradient by col2im."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    ho, wo = oracles.conv_out_hw(h, w, kh, kw, 1, pad)
+    w2 = weight.reshape(o, -1)
+    out = np.empty((n, o, ho, wo))
+    gw = np.zeros_like(w2)
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for s in range(n):
+        cols = oracles.im2col_naive(x[s], kh, kw, 1, pad)
+        out[s] = (w2 @ cols + bias[:, None]).reshape(o, ho, wo)
+        g = dout[s].reshape(o, -1)
+        gw += g @ cols.T
+        dcols = (w2.T @ g).reshape(c, kh, kw, ho, wo)
+        for ki in range(kh):
+            for kj in range(kw):
+                dxp[s, :, ki:ki + ho, kj:kj + wo] += dcols[:, ki, kj]
+    return out, gw.reshape(weight.shape), dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+class TestRowGemmEdgeShapes:
+    """The stride-1 row-GEMM path against the naive convolution and an
+    im2col/col2im reference, at degenerate output sizes and blockings."""
+
+    @pytest.mark.parametrize("c, o, in_hw, kh, kw, pad", [
+        (2, 3, (6, 7), 3, 2, 2),
+        (2, 3, (3, 6), 5, 3, 1),     # kh == H + 2*pad: Ho = 1
+        (3, 2, (5, 4), 3, 4, 0),     # kw == W + 2*pad: Wo = 1
+        (2, 2, (4, 3), 6, 5, 1),     # Ho = Wo = 1
+    ], ids=["3x2-pad2", "ho1", "wo1", "ho1-wo1"])
+    @pytest.mark.parametrize("per_block", [None, 3, 1],
+                             ids=["one-block", "3+3+1", "one-sample"])
+    def test_matches_references(self, c, o, in_hw, kh, kw, pad, per_block,
+                                rng, monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        lyr = Conv2D(c, o, kh, kw, pad=pad, rng=rng, dtype=np.float64)
+        lyr.bias[:] = rng.standard_normal(o)
+        x = rng.standard_normal((7, c) + in_hw)
+        out_shape = lyr.output_shape((c,) + in_hw)
+        dout = rng.standard_normal((7,) + out_shape)
+        seen = _spy_row_blocks(monkeypatch)
+        if per_block is not None:
+            monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES",
+                                per_block * int(np.prod(out_shape)) * 8)
+        out = lyr.forward(x, training=True)
+        lyr.zero_grads()
+        dx = lyr.backward(dout)
+        split = {None: [7], 3: [3, 3, 1], 1: [1] * 7}[per_block]
+        assert seen == split + split
+        want_out, want_gw, want_dx = _im2col_reference(x, lyr.weight, lyr.bias,
+                                                       pad, dout)
+        np.testing.assert_allclose(out, oracles.conv2d_naive(
+            x, lyr.weight, lyr.bias, 1, pad), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lyr.grad["weight"], want_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lyr.grad["bias"], dout.sum(axis=(0, 2, 3)),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
 
 
 class TestInputGradFlag:

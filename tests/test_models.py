@@ -306,6 +306,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             build_from_config({"arch": "resnet"})
 
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_width_rejected(self, width):
+        with pytest.raises(ConfigError, match="width_mult"):
+            build_from_config({"arch": "lenet", "width_mult": width})
+
     def test_malformed_config_file(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("arch=lenet\nnot a pair\n")
