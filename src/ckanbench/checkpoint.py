@@ -46,7 +46,7 @@ def save_state(items: list[tuple[str, np.ndarray]], dir_path: str) -> None:
 def read_state(dir_path: str) -> dict[str, np.ndarray]:
     manifest = os.path.join(dir_path, MANIFEST_NAME)
     blob_path = os.path.join(dir_path, BLOB_NAME)
-    entries = []
+    entries = {}
     with open(manifest, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -61,17 +61,23 @@ def read_state(dir_path: str) -> dict[str, np.ndarray]:
                 dtype = np.dtype(dtype_tok)
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{manifest}:{lineno}: {exc}") from None
-            entries.append((name, shape, dtype))
-    blob = open(blob_path, "rb").read()
+            if name in entries:
+                raise FormatError(f"{manifest}:{lineno}: duplicate name {name!r}")
+            if min(shape) < 0:
+                raise FormatError(
+                    f"{manifest}:{lineno}: negative dimension in {shape_tok}")
+            entries[name] = (shape, dtype)
+    with open(blob_path, "rb") as fh:
+        blob = fh.read()
     expected = sum(int(np.prod(shape)) * dtype.itemsize
-                   for _, shape, dtype in entries)
+                   for shape, dtype in entries.values())
     if len(blob) != expected:
         raise FormatError(
             f"{blob_path}: expected {expected} bytes from manifest, found {len(blob)}"
         )
     out = {}
     offset = 0
-    for name, shape, dtype in entries:
+    for name, (shape, dtype) in entries.items():
         nbytes = int(np.prod(shape)) * dtype.itemsize
         arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<") if dtype.itemsize > 1
                             else dtype, count=int(np.prod(shape)), offset=offset)

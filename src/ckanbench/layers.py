@@ -33,15 +33,16 @@ multiplying it into the map gradient in place, so a first layer called
 with ``input_grad=False`` evaluates none.
 
 A convolution zero-pads its input before the map, then convolves the
-map with the kernel in blocks of samples.  A stride-1 kernel more than
-one row high builds no columns: each block is stacked row-interleaved,
-kw column shifts of every row, so that each kernel row's taps of the
-kept Ho x Wo outputs are one contiguous slice.  Forward, weight
-gradient and input gradient each run one GEMM per kernel row over those
-slices (blocks' outputs capped at ``FLAT_BLOCK_BYTES``).  Strided and
-one-row kernels (the 1-D layers) run im2col and one GEMM per block, with
-the block's columns capped at ``BLOCK_BYTES``, and col2im for the input
-gradient.  Backward rebuilds each block from the cached map.
+map with the kernel in blocks of samples, one path for every stride
+and kernel height, building no im2col columns: each block is stacked
+row-interleaved, kw strided column shifts of every row with the rows
+grouped by stride phase, so that each kernel row's taps of the kept
+Ho x Wo outputs are one contiguous slice.  Forward, weight gradient and
+input gradient each run one GEMM per kernel row over those slices
+(blocks' outputs capped at ``BLOCK_BYTES``).  The input gradient is a
+stride-1 convolution of the output gradient, so at stride s it spends
+s*s times the multiply-adds it needs; no stock model asks a strided
+layer for one.  Backward rebuilds each block from the cached map.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -376,17 +377,10 @@ class Linear(_Weighted):
         return (self.out_features,)
 
 
-# Bytes of im2col columns one block of samples fills on the im2col path
-# (``_conv_blocks``: stride > 1, or a kernel one row high).  Blocking keeps
-# the whole batch's columns from ever being held at once; 1 to 16 MiB
-# measured alike, so this bounds memory more than it tunes speed.
-BLOCK_BYTES = 4 << 20
-
-# Bytes of a block's output [O, Ho*nb*Wo] on the row-GEMM path (stride 1,
-# a kernel more than one row high).  Every kernel row's GEMM rewrites that
-# output, so it is kept cache-sized; sizing by it ran faster on both LeNet
-# convolutions than sizing by the input map.
-FLAT_BLOCK_BYTES = 128 << 10
+# Bytes of a block's output [O, Ho*nb*Wo].  Every kernel row's GEMM
+# rewrites that output, so it is kept cache-sized; sizing by it ran faster
+# on both LeNet convolutions than sizing by the input map.
+BLOCK_BYTES = 128 << 10
 
 
 def _pad_input(x, kh, kw, stride, pad):
@@ -403,52 +397,48 @@ def _crop(dxp, pad):
     return dxp[:, :, pad:h - pad, pad:w - pad]
 
 
-def _conv_blocks(xp, kh, kw, stride, dtype=None):
-    """Yield (start, stop, columns) per block of samples of the padded
-    input ``xp``; the columns are [C*kh*kw, stop - start, Ho*Wo] and a
-    block holds as many samples as fit in ``BLOCK_BYTES`` (at least one).
-    Every block's columns are written into one buffer, so they are valid
-    only until the next block is yielded."""
+# The row stack.  For a kh x kw kernel at stride s, a block of nb samples
+# of the padded map [N, C, H, W] is stacked as [C, kw, P, R, nb, Wo]: slot
+# kj holds columns kj, kj+s, ..., kj+s*(Wo-1) of every row, and the rows
+# are grouped by phase (row mod s), P = min(s, kh) phases of
+# R = Ho + (kh-1)//s rows each.  Rows are outer to samples and columns, so
+# in the [C*kw, P*R*nb*Wo] stack kernel row ki's taps of every kept output
+# position are one contiguous column slice: rows ki//s .. ki//s+Ho of phase
+# ki mod s.  Forward and weight gradient are one GEMM per kernel row over
+# exactly the Ho x Wo outputs.  The input gradient is the stride-1
+# forward's GEMMs over the output gradient written at every s-th position
+# of a zero border, so at stride s it does s*s times the multiply-adds it
+# needs, the rest on zeros.  No stock model asks a strided layer for one:
+# AlexNet's conv1 is a first layer.
+
+def _row_stack(xb, kh, kw, s, buf):
+    """The stack of the block ``xb`` [nb, C, H, W], written into the front
+    of ``buf``, and the first column of each kernel row's slice.  A phase's
+    rows below the map stay unwritten; no kernel row's slice reaches them."""
+    nb, c, h, w = xb.shape
+    ho, wo = (h - kh) // s + 1, (w - kw) // s + 1
+    phases, r = min(s, kh), ho + (kh - 1) // s
+    stack = buf[:c * kw * phases * r * nb * wo].reshape(c, kw, phases, r, nb, wo)
+    for kj in range(kw):
+        cols = xb[..., kj:kj + s * (wo - 1) + 1:s]
+        for p in range(phases):
+            phase = cols[:, :, p::s][:, :, :r]
+            stack[:, kj, p, :phase.shape[2]] = phase.transpose(1, 2, 0, 3)
+    starts = [((ki % s) * r + ki // s) * nb * wo for ki in range(kh)]
+    return stack.reshape(c * kw, -1), starts
+
+
+def _row_blocks(xp, kh, kw, stride, step, dtype):
+    """Yield (start, stop, stack, starts) per block of ``step`` samples of
+    ``xp`` [N, C, H, W].  Every stack is written into one buffer, so it is
+    valid only until the next block is yielded."""
     n, c, h, w = xp.shape
     ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
-    rows, per = c * kh * kw, ho * wo
-    dtype = xp.dtype if dtype is None else np.dtype(dtype)
-    step = max(1, BLOCK_BYTES // (rows * per * dtype.itemsize))
-    buf = np.empty(rows * min(step, n) * per, dtype=dtype)
+    stacked = min(stride, kh) * (ho + (kh - 1) // stride)    # rows, P * R
+    buf = np.empty(c * kw * stacked * min(step, n) * wo, dtype=dtype)
     for s in range(0, n, step):
         e = min(s + step, n)
-        cols = buf[:rows * (e - s) * per].reshape(rows, e - s, per)
-        yield s, e, T.im2col_batch(xp[s:e], kh, kw, stride, out=cols)
-
-
-# The row-GEMM path.  A block of nb samples of the padded map [N, C, H, W]
-# is stacked row-interleaved as [C, kw, H, nb, Wo]: slot kj holds columns
-# kj..kj+Wo of every row.  Rows are outermost, so in the [C*kw, H*nb*Wo]
-# stack kernel row ki's taps of every kept output position are one
-# contiguous column slice, rows ki..ki+Ho.  Forward and weight gradient
-# are one GEMM per kernel row over exactly the Ho x Wo outputs; the input
-# gradient is the forward's GEMMs over the zero-bordered output gradient.
-
-def _row_stack(xb, kw, buf):
-    """The [C*kw, H*nb*Wo] stack of the block ``xb`` [nb, C, H, W],
-    written into the front of ``buf``."""
-    nb, c, h, w = xb.shape
-    wo = w - kw + 1
-    stack = buf[:c * kw * h * nb * wo].reshape(c, kw, h, nb, wo)
-    for kj in range(kw):
-        stack[:, kj] = xb[..., kj:kj + wo].transpose(1, 2, 0, 3)
-    return stack.reshape(c * kw, h * nb * wo)
-
-
-def _row_blocks(xp, kw, step, dtype):
-    """Yield (start, stop, stack) per block of ``step`` samples of ``xp``
-    [N, C, H, W].  Every stack is written into one buffer, so it is valid
-    only until the next block is yielded."""
-    n, c, h, w = xp.shape
-    buf = np.empty(c * kw * h * min(step, n) * (w - kw + 1), dtype=dtype)
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        yield s, e, _row_stack(xp[s:e], kw, buf)
+        yield (s, e) + _row_stack(xp[s:e], kh, kw, stride, buf)
 
 
 def _kernel_rows(w4, dtype):
@@ -457,82 +447,54 @@ def _kernel_rows(w4, dtype):
     return w4.transpose(2, 0, 1, 3).reshape(kh, o, c * kw).astype(dtype, copy=False)
 
 
-def _row_conv(rows, stack, m, bufs):
-    """Valid stride-1 convolution of a stack with the row weights
-    ``rows`` [kh, O, C*kw]: the [O, m] output (m = Ho*nb*Wo), the sum
-    over kernel rows of their weights times their slice of the stack,
-    written into the front of ``bufs`` [2, >= O*m]."""
+def _row_conv(rows, stack, starts, m, bufs):
+    """Valid convolution of a stack with the row weights ``rows``
+    [kh, O, C*kw]: the [O, m] output (m = Ho*nb*Wo), the sum over kernel
+    rows of their weights times their slice of the stack, the slices
+    starting at the columns ``starts``, written into the front of ``bufs``
+    [2, >= O*m]."""
     kh, o = rows.shape[:2]
     acc, part = bufs[:, :o * m].reshape(2, o, m)
-    u = (stack.shape[1] - m) // (kh - 1)    # columns per stacked row, nb*Wo
-    np.matmul(rows[0], stack[:, :m], out=acc)
+    np.matmul(rows[0], stack[:, starts[0]:starts[0] + m], out=acc)
     for ki in range(1, kh):
-        np.matmul(rows[ki], stack[:, ki * u:ki * u + m], out=part)
+        np.matmul(rows[ki], stack[:, starts[ki]:starts[ki] + m], out=part)
         acc += part
     return acc
 
 
 def _row_step(o, ho, wo, dtype):
-    """Samples per row-GEMM block: the output block [O, Ho*nb*Wo] fits in
-    ``FLAT_BLOCK_BYTES``, with at least one sample per block."""
-    return max(1, FLAT_BLOCK_BYTES // (o * ho * wo * dtype.itemsize))
+    """Samples per block: the output block [O, Ho*nb*Wo] fits in
+    ``BLOCK_BYTES``, with at least one sample per block."""
+    return max(1, BLOCK_BYTES // (o * ho * wo * dtype.itemsize))
 
 
 def _conv_forward(xp, w2, bias, kh, kw, stride):
     """Valid convolution of the padded input ``xp`` [N, C, H, W] with the
-    weight ``w2`` [O, C*kh*kw] into the [N, O, Ho, Wo] output, per block
-    of samples: for stride 1 and kh > 1, row GEMMs over the stacked
-    block; else im2col and one GEMM."""
+    weight ``w2`` [O, C*kh*kw] into the [N, O, Ho, Wo] output: row GEMMs
+    over each stacked block of samples."""
     n, c, h, w = xp.shape
     o = w2.shape[0]
     ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
     dtype = np.result_type(xp, w2)
     out = np.empty((n, o, ho, wo), dtype=dtype)
-    if stride == 1 and kh > 1:
-        step = _row_step(o, ho, wo, dtype)
-        rows = _kernel_rows(w2.reshape(o, c, kh, kw), dtype)
-        bufs = np.empty((2, o * ho * min(step, n) * wo), dtype=dtype)
-        for s, e, stack in _row_blocks(xp, kw, step, dtype):
-            ob = _row_conv(rows, stack, ho * (e - s) * wo, bufs)
-            ob += bias[:, None]
-            out[s:e] = ob.reshape(o, ho, e - s, wo).transpose(2, 0, 1, 3)
-        return out
-    for s, e, cols in _conv_blocks(xp, kh, kw, stride):
-        ob = w2 @ cols.reshape(cols.shape[0], -1)
+    step = _row_step(o, ho, wo, dtype)
+    rows = _kernel_rows(w2.reshape(o, c, kh, kw), dtype)
+    bufs = np.empty((2, o * ho * min(step, n) * wo), dtype=dtype)
+    for s, e, stack, starts in _row_blocks(xp, kh, kw, stride, step, dtype):
+        ob = _row_conv(rows, stack, starts, ho * (e - s) * wo, bufs)
         ob += bias[:, None]
-        out[s:e] = ob.reshape(o, e - s, ho, wo).transpose(1, 0, 2, 3)
+        out[s:e] = ob.reshape(o, ho, e - s, wo).transpose(2, 0, 1, 3)
     return out
 
 
 def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
     """Backward of ``_conv_forward`` from its output gradient ``dout``:
     returns the weight gradient [O, C*kh*kw], the bias gradient [O] and,
-    with ``input_grad``, the gradient of ``xp`` (else None).  On the
-    im2col path each block rebuilds its columns from ``xp``; its
-    input-gradient columns then overwrite them in the same buffer."""
-    if stride == 1 and kh > 1:
-        return _row_backward(dout, xp, w2, kh, kw, input_grad)
-    o = dout.shape[1]
-    dtype = np.result_type(dout, xp, w2)
-    gw = np.zeros(w2.shape, dtype=dtype)
-    gb = np.zeros(o, dtype=dtype)
-    dxp = np.empty(xp.shape, dtype=dtype) if input_grad else None
-    for s, e, cols in _conv_blocks(xp, kh, kw, stride, dtype):
-        g = dout[s:e].reshape(e - s, o, -1).transpose(1, 0, 2).reshape(o, -1)
-        cols2 = cols.reshape(cols.shape[0], -1)
-        gw += g @ cols2.T
-        gb += g.sum(axis=1)
-        if input_grad:
-            np.matmul(w2.T, g, out=cols2)
-            dxp[s:e] = T.col2im_batch(cols, (e - s,) + xp.shape[1:], kh, kw, stride)
-    return gw, gb, dxp
-
-
-def _row_backward(dout, xp, w2, kh, kw, input_grad):
-    """Stride-1 ``_conv_backward`` over the stacked blocks of ``xp``, with
-    the output gradient G laid out [O, Ho*nb*Wo].  Kernel row ki adds
-    its stack slice times G^T, [C*kw, O], to the weight gradient.  The
-    input gradient is the forward's row GEMMs over G zero-bordered to
+    with ``input_grad``, the gradient of ``xp`` (else None).  Each block
+    restacks ``xp`` and lays its output gradient G out [O, Ho*nb*Wo];
+    kernel row ki adds its stack slice times G^T, [C*kw, O], to the weight
+    gradient.  The input gradient is the stride-1 row GEMMs over G written
+    at every ``stride``-th position of a zero border
     [nb, O, H + kh - 1, W + kw - 1], with the kernel flipped and its
     channel axes swapped."""
     n, c, h, w = xp.shape
@@ -548,20 +510,22 @@ def _row_backward(dout, xp, w2, kh, kw, input_grad):
                             .transpose(1, 0, 2, 3), dtype)
         # sample-major, so every block's prefix keeps the zero border
         bordered = np.zeros((nb, o, h + kh - 1, w + kw - 1), dtype=dtype)
+        spread = bordered[:, :, kh - 1:kh + stride * (ho - 1):stride,
+                          kw - 1:kw + stride * (wo - 1):stride]
         dstack = np.empty(o * kw * (h + kh - 1) * nb * w, dtype=dtype)
         bufs = np.empty((2, c * h * nb * w), dtype=dtype)
         dxp = np.empty(xp.shape, dtype=dtype)
-    for s, e, stack in _row_blocks(xp, kw, step, dtype):
+    for s, e, stack, starts in _row_blocks(xp, kh, kw, stride, step, dtype):
         b = e - s
-        m, u = ho * b * wo, b * wo
+        m = ho * b * wo
         g = gbuf[:o * m].reshape(o, ho, b, wo)
         g[...] = dout[s:e].transpose(1, 2, 0, 3)
         g = g.reshape(o, m)
-        for ki in range(kh):
-            gw[ki] += stack[:, ki * u:ki * u + m] @ g.T
+        for ki, start in enumerate(starts):
+            gw[ki] += stack[:, start:start + m] @ g.T
         if input_grad:
-            bordered[:b, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = dout[s:e]
-            dx = _row_conv(adjoint, _row_stack(bordered[:b], kw, dstack),
+            spread[:b] = dout[s:e]
+            dx = _row_conv(adjoint, *_row_stack(bordered[:b], kh, kw, 1, dstack),
                            h * b * w, bufs)
             dxp[s:e] = dx.reshape(c, h, b, w).transpose(2, 0, 1, 3)
     gw = gw.reshape(kh, c, kw, o).transpose(3, 1, 0, 2).reshape(o, -1)

@@ -31,7 +31,7 @@ class TestStateRoundTrip:
 
     def test_manifest_is_readable_text(self, tmp_path, rng):
         save_state([("w", np.zeros((2, 3), dtype=np.float32))], str(tmp_path))
-        lines = open(tmp_path / MANIFEST_NAME).read().splitlines()
+        lines = (tmp_path / MANIFEST_NAME).read_text().splitlines()
         assert lines == ["w 2,3 float32"]
 
     def test_nan_and_inf_survive(self, tmp_path):
@@ -69,6 +69,20 @@ class TestStoreValidation:
         save_state([("x", np.zeros(2, dtype=np.float32))], str(tmp_path))
         (tmp_path / MANIFEST_NAME).write_text("x 2 floatzz\n")
         with pytest.raises(FormatError):
+            read_state(str(tmp_path))
+
+    def test_duplicate_name(self, tmp_path):
+        save_state([("x", np.zeros(2, dtype=np.float32)),
+                    ("x", np.ones(2, dtype=np.float32))], str(tmp_path))
+        with pytest.raises(FormatError,
+                           match=f"{MANIFEST_NAME}:2: duplicate name 'x'"):
+            read_state(str(tmp_path))
+
+    def test_negative_dimension(self, tmp_path):
+        save_state([("x", np.zeros(2, dtype=np.float32))], str(tmp_path))
+        (tmp_path / MANIFEST_NAME).write_text("x 4,-2 float32\n")
+        with pytest.raises(FormatError,
+                           match=f"{MANIFEST_NAME}:1: negative dimension"):
             read_state(str(tmp_path))
 
     def test_missing_dir(self, tmp_path):

@@ -85,7 +85,8 @@ class TestTrain:
         for name in ("config.txt", "manifest.txt", "params.bin",
                      "report.json"):
             assert os.path.exists(os.path.join(out_dir, name))
-        report = json.load(open(os.path.join(out_dir, "report.json")))
+        with open(os.path.join(out_dir, "report.json")) as fh:
+            report = json.load(fh)
         assert report["status"] == "ok"
         assert len(report["epochs"]) == 1
         assert report["params"] == 61706
@@ -291,6 +292,22 @@ class TestMalformedCheckpointConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {cfg_path}: ")
         assert key in err
+
+    def test_negative_manifest_dimension_is_a_data_error(self, tmp_path,
+                                                         capsys):
+        from ckanbench.checkpoint import MANIFEST_NAME, save_checkpoint
+        from ckanbench.models import build_lenet, model_config, save_model_config
+
+        model = build_lenet()
+        save_checkpoint(model, str(tmp_path))
+        save_model_config(tmp_path / "config.txt", model_config(model))
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(manifest.read_text().replace(" 6,", " -6,", 1))
+        code = run_cli("profile", "--checkpoint", str(tmp_path),
+                       "--iters", "1", "--warmup", "0")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {manifest}:1: negative dimension")
 
 class TestSweep:
     def _cfg_file(self, tmp_path):

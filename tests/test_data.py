@@ -58,18 +58,17 @@ class TestIdxRoundTrip:
             load_mnist_idx(path, path)
 
     def test_truncated_payload(self, tmp_path):
-        path = str(tmp_path / "imgs")
-        write_idx_images(path, np.zeros((2, 3, 3), dtype=np.uint8))
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-5])
+        path = tmp_path / "imgs"
+        write_idx_images(str(path), np.zeros((2, 3, 3), dtype=np.uint8))
+        path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError, match="payload"):
-            read_idx(path)
+            read_idx(str(path))
 
     def test_unsupported_magic(self, tmp_path):
-        path = str(tmp_path / "bad")
-        open(path, "wb").write((0x0D02).to_bytes(4, "big") + b"\0" * 8)
+        path = tmp_path / "bad"
+        path.write_bytes((0x0D02).to_bytes(4, "big") + b"\0" * 8)
         with pytest.raises(FormatError, match="magic"):
-            read_idx(path)
+            read_idx(str(path))
 
 
 class TestMnistLoading:

@@ -441,28 +441,6 @@ def _masked_kan(spec, rng, stride=2):
     return lyr
 
 
-# the im2col path (stride > 1, or a one-row kernel), in float64, with its
-# per-sample input shape
-BLOCKED_CASES = {
-    "conv2d": (lambda g: Conv2D(2, 3, 3, stride=2, pad=1, rng=g,
-                                dtype=np.float64), (2, 6, 7)),
-    "kanconv2d-rbf": (lambda g: _masked_kan(rbf_spec(4), g), (2, 6, 7)),
-    "kanconv2d-bspline": (lambda g: _masked_kan(bspline_spec(5, 3), g),
-                          (2, 6, 7)),
-    "kanconv1d": (lambda g: KanConv1D(2, 3, 5, stride=2, pad=2,
-                                      spec=rbf_spec(3), rng=g,
-                                      dtype=np.float64), (2, 11)),
-}
-
-
-def _float64_column_bytes(lyr, in_shape):
-    """Bytes of one sample's float64 im2col columns in the layer."""
-    rows = lyr.in_ch * lyr.kh * lyr.kw
-    if isinstance(lyr, KanConv2D):
-        rows *= lyr.spec.basis_count + 1
-    return rows * int(np.prod(lyr.output_shape(in_shape)[1:])) * 8
-
-
 def _pass(lyr, x, dout):
     out = lyr.forward(x, training=True)
     lyr.zero_grads()
@@ -470,36 +448,8 @@ def _pass(lyr, x, dout):
     return [out, dx] + [g.copy() for _, g in lyr.grads()]
 
 
-class TestSampleBlocks:
-    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
-    def test_blocks_match_one_block(self, case, rng, monkeypatch):
-        import ckanbench.layers as layers_mod
-
-        make, in_shape = BLOCKED_CASES[case]
-        lyr = make(rng)
-        x = 0.5 * rng.standard_normal((7,) + in_shape)
-        dout = rng.standard_normal((7,) + lyr.output_shape(in_shape))
-        monkeypatch.setattr(layers_mod, "BLOCK_BYTES", 1 << 40)
-        whole = _pass(lyr, x, dout)
-
-        seen = []
-        im2col = T.im2col_batch
-
-        def spy(xb, *args, **kw):
-            seen.append(xb.shape[0])
-            return im2col(xb, *args, **kw)
-
-        monkeypatch.setattr(T, "im2col_batch", spy)
-        monkeypatch.setattr(layers_mod, "BLOCK_BYTES",
-                            3 * _float64_column_bytes(lyr, in_shape))
-        blocked = _pass(lyr, x, dout)
-        # forward, then backward: each splits the batch of 7 as 3 + 3 + 1
-        assert seen == [3, 3, 1, 3, 3, 1]
-        for got, want in zip(blocked, whole):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-# the stride-1 row-GEMM path, in float64, with its per-sample input shape
+# in float64, with its per-sample input shape: stride 1, strided, and
+# the one-row kernel of a 1-D layer
 FLAT_BLOCKED_CASES = {
     "conv2d-3x2-pad2": (lambda g: Conv2D(2, 3, 3, 2, pad=2, rng=g,
                                          dtype=np.float64), (2, 6, 7)),
@@ -507,12 +457,21 @@ FLAT_BLOCKED_CASES = {
                       (2, 6, 7)),
     "kanconv2d-bspline": (lambda g: _masked_kan(bspline_spec(5, 3), g,
                                                 stride=1), (2, 6, 7)),
+    "conv2d-stride2": (lambda g: Conv2D(2, 3, 3, stride=2, pad=1, rng=g,
+                                        dtype=np.float64), (2, 6, 7)),
+    "kanconv2d-rbf-stride2": (lambda g: _masked_kan(rbf_spec(4), g),
+                              (2, 6, 7)),
+    "kanconv2d-bspline-stride2": (lambda g: _masked_kan(bspline_spec(5, 3), g),
+                                  (2, 6, 7)),
+    "kanconv1d-stride2": (lambda g: KanConv1D(2, 3, 5, stride=2, pad=2,
+                                              spec=rbf_spec(3), rng=g,
+                                              dtype=np.float64), (2, 11)),
 }
 
 
 def _float64_flat_bytes(lyr, in_shape):
     """Bytes of one sample's float64 output block in the layer, the
-    [O, Ho*Wo] that the row-GEMM path sizes its blocks by."""
+    [O, Ho*Wo] that the convolution sizes its blocks by."""
     return int(np.prod(lyr.output_shape(in_shape))) * 8
 
 
@@ -524,9 +483,9 @@ def _spy_row_blocks(monkeypatch):
     row_blocks = layers_mod._row_blocks
 
     def spy(*args, **kw):
-        for s, e, stack in row_blocks(*args, **kw):
-            seen.append(e - s)
-            yield s, e, stack
+        for block in row_blocks(*args, **kw):
+            seen.append(block[1] - block[0])
+            yield block
 
     monkeypatch.setattr(layers_mod, "_row_blocks", spy)
     return seen
@@ -541,11 +500,11 @@ class TestFlatSampleBlocks:
         lyr = make(rng)
         x = 0.5 * rng.standard_normal((7,) + in_shape)
         dout = rng.standard_normal((7,) + lyr.output_shape(in_shape))
-        monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(layers_mod, "BLOCK_BYTES", 1 << 40)
         whole = _pass(lyr, x, dout)
 
         seen = _spy_row_blocks(monkeypatch)
-        monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES",
+        monkeypatch.setattr(layers_mod, "BLOCK_BYTES",
                             3 * _float64_flat_bytes(lyr, in_shape))
         blocked = _pass(lyr, x, dout)
         # forward, then backward: each splits the batch of 7 as 3 + 3 + 1
@@ -554,62 +513,73 @@ class TestFlatSampleBlocks:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def _im2col_reference(x, weight, bias, pad, dout):
-    """Output, weight gradient and input gradient of a stride-1 conv from
+def _im2col_reference(x, weight, bias, stride, pad, dout):
+    """Output, weight gradient and input gradient of a convolution from
     ``oracles.im2col_naive`` columns, the input gradient by col2im."""
     n, c, h, w = x.shape
     o, _, kh, kw = weight.shape
-    ho, wo = oracles.conv_out_hw(h, w, kh, kw, 1, pad)
+    ho, wo = oracles.conv_out_hw(h, w, kh, kw, stride, pad)
     w2 = weight.reshape(o, -1)
     out = np.empty((n, o, ho, wo))
     gw = np.zeros_like(w2)
     dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     for s in range(n):
-        cols = oracles.im2col_naive(x[s], kh, kw, 1, pad)
+        cols = oracles.im2col_naive(x[s], kh, kw, stride, pad)
         out[s] = (w2 @ cols + bias[:, None]).reshape(o, ho, wo)
         g = dout[s].reshape(o, -1)
         gw += g @ cols.T
         dcols = (w2.T @ g).reshape(c, kh, kw, ho, wo)
         for ki in range(kh):
             for kj in range(kw):
-                dxp[s, :, ki:ki + ho, kj:kj + wo] += dcols[:, ki, kj]
+                dxp[s, :, ki:ki + stride * ho:stride,
+                    kj:kj + stride * wo:stride] += dcols[:, ki, kj]
     return out, gw.reshape(weight.shape), dxp[:, :, pad:pad + h, pad:pad + w]
 
 
 class TestRowGemmEdgeShapes:
-    """The stride-1 row-GEMM path against the naive convolution and an
-    im2col/col2im reference, at degenerate output sizes and blockings."""
+    """The row-GEMM convolution against the naive convolution and an
+    im2col/col2im reference, at strides 1 to 3, one-row kernels,
+    degenerate output sizes and blockings."""
 
-    @pytest.mark.parametrize("c, o, in_hw, kh, kw, pad", [
-        (2, 3, (6, 7), 3, 2, 2),
-        (2, 3, (3, 6), 5, 3, 1),     # kh == H + 2*pad: Ho = 1
-        (3, 2, (5, 4), 3, 4, 0),     # kw == W + 2*pad: Wo = 1
-        (2, 2, (4, 3), 6, 5, 1),     # Ho = Wo = 1
-    ], ids=["3x2-pad2", "ho1", "wo1", "ho1-wo1"])
+    @pytest.mark.parametrize("c, o, in_hw, kh, kw, stride, pad", [
+        (2, 3, (6, 7), 3, 2, 1, 2),
+        (2, 3, (3, 6), 5, 3, 1, 1),     # kh == H + 2*pad: Ho = 1
+        (3, 2, (5, 4), 3, 4, 1, 0),     # kw == W + 2*pad: Wo = 1
+        (2, 2, (4, 3), 6, 5, 1, 1),     # Ho = Wo = 1
+        (2, 3, (9, 8), 3, 3, 2, 1),
+        (2, 3, (10, 10), 5, 4, 3, 1),   # one row of the padded map unused
+        (3, 2, (4, 7), 1, 3, 1, 0),
+        (2, 3, (1, 11), 1, 5, 2, 2),
+        (2, 2, (7, 8), 2, 2, 3, 0),     # stride > kh: rows 2 mod 3 unused
+        (2, 3, (7, 6), 3, 3, 2, 0),     # phase 1 holds a row fewer
+        (2, 2, (4, 6), 3, 3, 2, 0),     # Ho = 1 at stride 2
+    ], ids=["3x2-pad2", "ho1", "wo1", "ho1-wo1", "s2", "s3", "kh1",
+            "kh1-s2", "s3-kh2", "s2-odd-height", "ho1-s2"])
     @pytest.mark.parametrize("per_block", [None, 3, 1],
                              ids=["one-block", "3+3+1", "one-sample"])
-    def test_matches_references(self, c, o, in_hw, kh, kw, pad, per_block,
-                                rng, monkeypatch):
+    def test_matches_references(self, c, o, in_hw, kh, kw, stride, pad,
+                                per_block, rng, monkeypatch):
         import ckanbench.layers as layers_mod
 
-        lyr = Conv2D(c, o, kh, kw, pad=pad, rng=rng, dtype=np.float64)
+        lyr = Conv2D(c, o, kh, kw, stride=stride, pad=pad, rng=rng,
+                     dtype=np.float64)
         lyr.bias[:] = rng.standard_normal(o)
         x = rng.standard_normal((7, c) + in_hw)
         out_shape = lyr.output_shape((c,) + in_hw)
         dout = rng.standard_normal((7,) + out_shape)
         seen = _spy_row_blocks(monkeypatch)
         if per_block is not None:
-            monkeypatch.setattr(layers_mod, "FLAT_BLOCK_BYTES",
+            monkeypatch.setattr(layers_mod, "BLOCK_BYTES",
                                 per_block * int(np.prod(out_shape)) * 8)
         out = lyr.forward(x, training=True)
         lyr.zero_grads()
         dx = lyr.backward(dout)
         split = {None: [7], 3: [3, 3, 1], 1: [1] * 7}[per_block]
         assert seen == split + split
-        want_out, want_gw, want_dx = _im2col_reference(x, lyr.weight, lyr.bias,
-                                                       pad, dout)
+        want_out, want_gw, want_dx = _im2col_reference(
+            x, lyr.weight, lyr.bias, stride, pad, dout)
         np.testing.assert_allclose(out, oracles.conv2d_naive(
-            x, lyr.weight, lyr.bias, 1, pad), rtol=0, atol=1e-12)
+            x, lyr.weight, lyr.bias, stride, pad), rtol=0, atol=1e-12)
         np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(lyr.grad["weight"], want_gw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(lyr.grad["bias"], dout.sum(axis=(0, 2, 3)),

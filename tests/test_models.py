@@ -105,11 +105,20 @@ class TestForwardShapes:
 
 
 class TestConvPath:
-    @pytest.mark.parametrize("build", [
-        lambda: build_lenet(), lambda: build_lenet_kan_full(rbf_spec(4)),
-        lambda: build_lenet_kan(bspline_spec())],
-        ids=["lenet", "lenet_kan_full-rbf", "lenet_kan-bspline"])
-    def test_lenet_training_builds_no_columns(self, build, monkeypatch):
+    @pytest.mark.parametrize("build, in_shape", [
+        (lambda: build_lenet(), (1, 28, 28)),
+        (lambda: build_lenet_kan_full(rbf_spec(4)), (1, 28, 28)),
+        (lambda: build_lenet_kan(bspline_spec()), (1, 28, 28)),
+        (lambda: build_tabular_cnn(20, 5), (20,)),
+        (lambda: build_tabular_cnn(20, 5, kan=True), (20,)),
+        # AlexNet's conv1 geometry on a small input, with an input gradient
+        (lambda: Conv2D(3, 4, 11, stride=4, pad=2,
+                        rng=np.random.default_rng(0)), (3, 31, 31)),
+        (lambda: KanConv2D(3, 4, 11, stride=4, pad=2, spec=rbf_spec(3),
+                           rng=np.random.default_rng(0)), (3, 31, 31)),
+    ], ids=["lenet", "lenet_kan_full-rbf", "lenet_kan-bspline", "tabular-cnn",
+            "tabular-kan", "alexnet-conv1", "alexnet-kan-conv1"])
+    def test_training_builds_no_columns(self, build, in_shape, monkeypatch):
         from ckanbench import tensor_ops as T
 
         calls = []
@@ -122,10 +131,10 @@ class TestConvPath:
 
         for name in ("im2col_batch", "col2im_batch"):
             monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
-        model = build()
-        x = np.random.default_rng(0).standard_normal((5, 1, 28, 28))
-        out = model.forward(x.astype(np.float32), training=True)
-        model.backward(np.ones_like(out))
+        net = build()
+        x = np.random.default_rng(0).standard_normal((5,) + in_shape)
+        out = net.forward(x.astype(np.float32), training=True)
+        net.backward(np.ones_like(out))
         assert calls == []
 
 

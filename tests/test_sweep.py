@@ -4,6 +4,7 @@ compressed end-to-end sweep on the procedural digit corpus."""
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestEmitReports:
     def test_frontier_sorted_by_macs(self, tmp_path):
         from ckanbench.sweep import emit_reports
         emit_reports(_fake_results(), str(tmp_path))
-        lines = open(tmp_path / "frontier.csv").read().splitlines()
+        lines = (tmp_path / "frontier.csv").read_text().splitlines()
         assert lines[0] == "macs,val_acc"
         macs = [int(ln.split(",")[0]) for ln in lines[1:]]
         assert macs == sorted(macs)
@@ -183,7 +184,7 @@ class TestEmitReports:
     def test_summary_json(self, tmp_path):
         from ckanbench.sweep import emit_reports
         emit_reports(_fake_results(), str(tmp_path))
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_cells"] == 4
         assert summary["n_ok"] == 3 and summary["n_failed"] == 1
         assert summary["best"]["val_acc"] == max(
@@ -201,9 +202,9 @@ class TestEmitReports:
                                            prune_ratios=[0.0]))
         emit_reports([CellResult(cell=cells[0], status="failed")],
                      str(tmp_path))
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_ok"] == 0 and "best" not in summary
-        assert open(tmp_path / "frontier.csv").read().splitlines() == \
+        assert (tmp_path / "frontier.csv").read_text().splitlines() == \
                ["macs,val_acc"]
 
 
@@ -289,7 +290,7 @@ class TestRunSweep:
         assert int(rows[1]["macs"]) < int(rows[0]["macs"])
         for name in ("frontier.csv", "radar.csv", "summary.json"):
             assert os.path.exists(os.path.join(out, name))
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["n_cells"] == 4 and summary["n_failed"] == 0
 
     def test_shared_base_equals_per_cell_training(self, tmp_path, monkeypatch,
@@ -414,7 +415,7 @@ class TestCellFailureIsolation:
         rows = load_runs_csv(os.path.join(out, "runs.csv"))
         assert list(rows[0]) == RUNS_COLUMNS
         assert [r["status"] for r in rows] == ["failed", "ok"]
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["n_ok"] == 1 and summary["n_failed"] == 1
         assert summary["failures"] == [
             {"index": 0, "reason": "RuntimeError: cell exploded"}]
@@ -436,7 +437,7 @@ class TestCellFailureIsolation:
         results = run_sweep(cfg, None, None, out, workers=workers)
         assert [r.status for r in results] == ["failed", "failed", "ok", "ok"]
         assert all(r.latency_ms > 0 for r in results[2:])
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["failures"] == [
             {"index": i, "reason": "RuntimeError: base exploded"}
             for i in (0, 1)]
