@@ -39,10 +39,12 @@ row-interleaved, kw strided column shifts of every row with the rows
 grouped by stride phase, so that each kernel row's taps of the kept
 Ho x Wo outputs are one contiguous slice.  Forward, weight gradient and
 input gradient each run one GEMM per kernel row over those slices
-(blocks' outputs capped at ``BLOCK_BYTES``).  The input gradient is a
-stride-1 convolution of the output gradient, so at stride s it spends
-s*s times the multiply-adds it needs; no stock model asks a strided
-layer for one.  Backward rebuilds each block from the cached map.
+(blocks' outputs capped at ``BLOCK_BYTES``, but never fewer positions
+than output channels).  The input gradient is a stride-1 convolution of
+the output gradient over the unpadded positions only, so at stride s it
+spends s*s times the multiply-adds it needs; no stock model asks a
+strided layer for one.  Backward rebuilds each block from the cached
+map.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -58,6 +60,8 @@ counts.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -383,18 +387,25 @@ class Linear(_Weighted):
 BLOCK_BYTES = 128 << 10
 
 
-def _pad_input(x, kh, kw, stride, pad):
-    """Zero-pad [N, C, H, W] by ``pad`` on both spatial axes, after
-    checking the convolution geometry (so np.pad never sees a bad one)."""
-    h, w = x.shape[2:]
-    T.conv_output_hw(h, w, kh, kw, stride, pad)
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+def _out_hw(h, w, kh, kw, stride, pads):
+    """Output extent of an H x W input zero-padded by ``pads`` (h, w)."""
+    if min(pads) < 0:
+        raise DimensionError(f"pad must be >= 0, got {pads}")
+    return T.conv_output_hw(h + 2 * pads[0], w + 2 * pads[1], kh, kw, stride, 0)
 
 
-def _crop(dxp, pad):
+def _pad_input(x, kh, kw, stride, pads):
+    """Zero-pad [N, C, H, W] by ``pads`` (height, width), after checking
+    the convolution geometry (so np.pad never sees a bad one)."""
+    (h, w), (ph, pw) = x.shape[2:], pads
+    _out_hw(h, w, kh, kw, stride, pads)
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+
+
+def _crop(dxp, pads):
     """Gradient of ``_pad_input``: drop the padded border."""
-    h, w = dxp.shape[2:]
-    return dxp[:, :, pad:h - pad, pad:w - pad]
+    (h, w), (ph, pw) = dxp.shape[2:], pads
+    return dxp[:, :, ph:h - ph, pw:w - pw]
 
 
 # The row stack.  For a kh x kw kernel at stride s, a block of nb samples
@@ -407,24 +418,31 @@ def _crop(dxp, pad):
 # ki mod s.  Forward and weight gradient are one GEMM per kernel row over
 # exactly the Ho x Wo outputs.  The input gradient is the stride-1
 # forward's GEMMs over the output gradient written at every s-th position
-# of a zero border, so at stride s it does s*s times the multiply-adds it
-# needs, the rest on zeros.  No stock model asks a strided layer for one:
-# AlexNet's conv1 is a first layer.
+# of a zero border, computed only at the positions the input's zero
+# padding did not add.  At stride s it does s*s times the multiply-adds
+# it needs, the rest on zeros; no stock model asks a strided layer for
+# one: AlexNet's conv1 is a first layer.
 
-def _row_stack(xb, kh, kw, s, buf):
+def _stack_shape(shape, kh, kw, stride, nb):
+    """[C, kw, P, R, nb, Wo], the stack of nb samples of a [*, C, H, W] map."""
+    c, h, w = shape[-3:]
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    return c, kw, min(stride, kh), ho + (kh - 1) // stride, nb, wo
+
+
+def _row_stack(xb, kh, kw, stride, buf):
     """The stack of the block ``xb`` [nb, C, H, W], written into the front
     of ``buf``, and the first column of each kernel row's slice.  A phase's
     rows below the map stay unwritten; no kernel row's slice reaches them."""
-    nb, c, h, w = xb.shape
-    ho, wo = (h - kh) // s + 1, (w - kw) // s + 1
-    phases, r = min(s, kh), ho + (kh - 1) // s
-    stack = buf[:c * kw * phases * r * nb * wo].reshape(c, kw, phases, r, nb, wo)
+    shape = _stack_shape(xb.shape, kh, kw, stride, xb.shape[0])
+    c, _, phases, r, nb, wo = shape
+    stack = buf[:math.prod(shape)].reshape(shape)
     for kj in range(kw):
-        cols = xb[..., kj:kj + s * (wo - 1) + 1:s]
+        cols = xb[..., kj:kj + stride * (wo - 1) + 1:stride]
         for p in range(phases):
-            phase = cols[:, :, p::s][:, :, :r]
+            phase = cols[:, :, p::stride][:, :, :r]
             stack[:, kj, p, :phase.shape[2]] = phase.transpose(1, 2, 0, 3)
-    starts = [((ki % s) * r + ki // s) * nb * wo for ki in range(kh)]
+    starts = [((ki % stride) * r + ki // stride) * nb * wo for ki in range(kh)]
     return stack.reshape(c * kw, -1), starts
 
 
@@ -432,10 +450,9 @@ def _row_blocks(xp, kh, kw, stride, step, dtype):
     """Yield (start, stop, stack, starts) per block of ``step`` samples of
     ``xp`` [N, C, H, W].  Every stack is written into one buffer, so it is
     valid only until the next block is yielded."""
-    n, c, h, w = xp.shape
-    ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
-    stacked = min(stride, kh) * (ho + (kh - 1) // stride)    # rows, P * R
-    buf = np.empty(c * kw * stacked * min(step, n) * wo, dtype=dtype)
+    n = xp.shape[0]
+    shape = _stack_shape(xp.shape, kh, kw, stride, min(step, n))
+    buf = np.empty(math.prod(shape), dtype=dtype)
     for s in range(0, n, step):
         e = min(s + step, n)
         yield (s, e) + _row_stack(xp[s:e], kh, kw, stride, buf)
@@ -464,8 +481,11 @@ def _row_conv(rows, stack, starts, m, bufs):
 
 def _row_step(o, ho, wo, dtype):
     """Samples per block: the output block [O, Ho*nb*Wo] fits in
-    ``BLOCK_BYTES``, with at least one sample per block."""
-    return max(1, BLOCK_BYTES // (o * ho * wo * dtype.itemsize))
+    ``BLOCK_BYTES``, but is no taller than wide (at least O positions, so
+    a wide layer of few positions, a 1-D tabular conv, runs no thin GEMMs)
+    and holds at least one sample."""
+    per = ho * wo
+    return max(1, BLOCK_BYTES // (o * per * dtype.itemsize), -(-o // per))
 
 
 def _conv_forward(xp, w2, bias, kh, kw, stride):
@@ -487,16 +507,17 @@ def _conv_forward(xp, w2, bias, kh, kw, stride):
     return out
 
 
-def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
+def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad):
     """Backward of ``_conv_forward`` from its output gradient ``dout``:
     returns the weight gradient [O, C*kh*kw], the bias gradient [O] and,
-    with ``input_grad``, the gradient of ``xp`` (else None).  Each block
+    with ``input_grad``, the gradient of ``xp`` (else None), whose
+    ``pads`` border, the input's zero padding, is left 0.  Each block
     restacks ``xp`` and lays its output gradient G out [O, Ho*nb*Wo];
     kernel row ki adds its stack slice times G^T, [C*kw, O], to the weight
-    gradient.  The input gradient is the stride-1 row GEMMs over G written
-    at every ``stride``-th position of a zero border
-    [nb, O, H + kh - 1, W + kw - 1], with the kernel flipped and its
-    channel axes swapped."""
+    gradient.  The input gradient is the stride-1 row GEMMs, with the
+    kernel flipped and its channel axes swapped, over G written at every
+    ``stride``-th position of a zero border [nb, O, H + kh - 1, W + kw - 1],
+    over the window whose outputs are the unpadded positions."""
     n, c, h, w = xp.shape
     o, ho, wo = dout.shape[1:]
     dtype = np.result_type(dout, xp, w2)
@@ -506,15 +527,19 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
     gbuf = np.empty(o * ho * nb * wo, dtype=dtype)
     dxp = None
     if input_grad:
+        (ph, pw), hi, wi = pads, h - 2 * pads[0], w - 2 * pads[1]
         adjoint = _kernel_rows(w2.reshape(o, c, kh, kw)[:, :, ::-1, ::-1]
                             .transpose(1, 0, 2, 3), dtype)
         # sample-major, so every block's prefix keeps the zero border
         bordered = np.zeros((nb, o, h + kh - 1, w + kw - 1), dtype=dtype)
         spread = bordered[:, :, kh - 1:kh + stride * (ho - 1):stride,
                           kw - 1:kw + stride * (wo - 1):stride]
-        dstack = np.empty(o * kw * (h + kh - 1) * nb * w, dtype=dtype)
-        bufs = np.empty((2, c * h * nb * w), dtype=dtype)
-        dxp = np.empty(xp.shape, dtype=dtype)
+        window = bordered[:, :, ph:ph + hi + kh - 1, pw:pw + wi + kw - 1]
+        dstack = np.empty(math.prod(_stack_shape(window.shape, kh, kw, 1, nb)),
+                          dtype=dtype)
+        bufs = np.empty((2, c * hi * nb * wi), dtype=dtype)
+        dxp = (np.zeros if ph or pw else np.empty)(xp.shape, dtype=dtype)
+        inner = dxp[:, :, ph:ph + hi, pw:pw + wi]
     for s, e, stack, starts in _row_blocks(xp, kh, kw, stride, step, dtype):
         b = e - s
         m = ho * b * wo
@@ -525,11 +550,15 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, input_grad):
             gw[ki] += stack[:, start:start + m] @ g.T
         if input_grad:
             spread[:b] = dout[s:e]
-            dx = _row_conv(adjoint, *_row_stack(bordered[:b], kh, kw, 1, dstack),
-                           h * b * w, bufs)
-            dxp[s:e] = dx.reshape(c, h, b, w).transpose(2, 0, 1, 3)
-    gw = gw.reshape(kh, c, kw, o).transpose(3, 1, 0, 2).reshape(o, -1)
-    return gw, dout.sum(axis=(0, 2, 3), dtype=dtype), dxp
+            dx = _row_conv(adjoint, *_row_stack(window[:b], kh, kw, 1, dstack),
+                           hi * b * wi, bufs)
+            inner[s:e] = dx.reshape(c, hi, b, wi).transpose(2, 0, 1, 3)
+    # [kh, C, kw, O] -> [O, C, kh, kw] one input channel at a time: a single
+    # transposing copy of a large gradient misses cache on every element
+    gw4, gw = gw.reshape(kh, c, kw, o), np.empty((o, c, kh, kw), dtype=dtype)
+    for ci in range(c):
+        gw[:, ci] = gw4[:, ci].transpose(2, 0, 1)
+    return gw.reshape(o, -1), dout.sum(axis=(0, 2, 3), dtype=dtype), dxp
 
 
 class Conv2D(_Weighted):
@@ -561,7 +590,7 @@ class Conv2D(_Weighted):
             raise DimensionError(f"{self.name or type(self).__name__}: "
                                  f"expected {self.in_ch} channels, got {c}")
         # pad before mapping, so a KAN layer's padded taps read phi(0), not 0
-        xp = _pad_input(x, self.kh, self.kw, self.stride, self.pad)
+        xp = _pad_input(x, self.kh, self.kw, self.stride, self._pads)
         xmap, aux = self._map(xp, training)
         w2, bias = self._kernel()
         out = _conv_forward(xmap, w2, bias, self.kh, self.kw, self.stride)
@@ -572,22 +601,25 @@ class Conv2D(_Weighted):
     def backward(self, dout, input_grad=True):
         xmap, aux, w2 = self._need_cache(self._cache)
         gw, gb, dmap = _conv_backward(dout, xmap, w2, self.kh, self.kw,
-                                      self.stride, input_grad)
+                                      self.stride, self._pads, input_grad)
         self._add_grads(gw, gb)
         if dmap is None:
             return None
-        return _crop(self._map_grad(dmap, aux), self.pad)
+        return _crop(self._map_grad(dmap, aux), self._pads)
+
+    # zero padding (height, width) on both sides of each axis
+    _pads = property(lambda self: (self.pad, self.pad))
 
     def _taps(self, in_shape) -> int:
         c, h, w = in_shape
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
+        ho, wo = _out_hw(h, w, self.kh, self.kw, self.stride, self._pads)
         return ho * wo * c * self.kh * self.kw
 
     def output_shape(self, in_shape):
         c, h, w = in_shape
         if c != self.in_ch:
             raise DimensionError(f"{type(self).__name__} expects {self.in_ch} channels, got {c}")
-        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
+        ho, wo = _out_hw(h, w, self.kh, self.kw, self.stride, self._pads)
         return (self.out_ch, ho, wo)
 
 
@@ -714,26 +746,24 @@ class KanLinear(_SplineEdges, Linear):
 
 class _Length1D(Layer):
     """Runs the 2-D layer it is mixed into over [N, C, L] as the height-1
-    map [N, C, 1, L]; ``length_pad`` zero-pads the length axis only."""
+    map [N, C, 1, L]; a convolution's ``length_pad`` zero-pads the length
+    axis only."""
 
     length_pad: int = 0
 
     def forward(self, x, training=True):
         if x.ndim != 3:
             raise DimensionError(f"1-D layer expects [N,C,L], got rank {x.ndim}")
-        p = self.length_pad
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p)))
         return super().forward(x[:, :, None, :], training=training)[:, :, 0, :]
 
     def backward(self, dout, input_grad=True):
         dx = super().backward(dout[:, :, None, :], input_grad=input_grad)
-        p = self.length_pad
-        return None if dx is None else dx[:, :, 0, p:dx.shape[3] - p]
+        return None if dx is None else dx[:, :, 0, :]
+
+    _pads = property(lambda self: (0, self.length_pad))
 
     def _shape2d(self, in_shape):
-        c, length = in_shape
-        return (c, 1, length + 2 * self.length_pad)
+        return (in_shape[0], 1, in_shape[1])
 
     def mac_count(self, in_shape):
         return super().mac_count(self._shape2d(in_shape))

@@ -574,7 +574,10 @@ class TestRowGemmEdgeShapes:
         out = lyr.forward(x, training=True)
         lyr.zero_grads()
         dx = lyr.backward(dout)
-        split = {None: [7], 3: [3, 3, 1], 1: [1] * 7}[per_block]
+        # a block holds at least O output positions
+        per = int(np.prod(out_shape[1:]))
+        nb = 7 if per_block is None else max(per_block, -(-o // per))
+        split = [nb] * (7 // nb) + [7 % nb] * (7 % nb > 0)
         assert seen == split + split
         want_out, want_gw, want_dx = _im2col_reference(
             x, lyr.weight, lyr.bias, stride, pad, dout)
@@ -585,6 +588,40 @@ class TestRowGemmEdgeShapes:
         np.testing.assert_allclose(lyr.grad["bias"], dout.sum(axis=(0, 2, 3)),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+
+
+class TestRowStep:
+    @pytest.mark.parametrize("o, ho, wo, step", [
+        (6, 28, 28, 6),       # LeNet conv1: 128 KiB of output per block
+        (16, 10, 10, 20),     # LeNet conv2
+        (64, 55, 55, 1),      # AlexNet conv1: one sample exceeds the budget
+        (512, 1, 16, 32),     # tabular conv1: O positions, not 4 samples
+        (512, 1, 8, 64),      # tabular conv2
+        (256, 1, 4, 64),      # tabular conv3
+    ])
+    def test_samples_per_block(self, o, ho, wo, step):
+        import ckanbench.layers as layers_mod
+
+        assert layers_mod._row_step(o, ho, wo, np.dtype(np.float32)) == step
+
+
+class TestPaddedInputGrad:
+    def test_row_gemms_skip_the_padding(self, rng, monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        widths, row_conv = [], layers_mod._row_conv
+
+        def spy(rows, stack, starts, m, bufs):
+            widths.append(m)
+            return row_conv(rows, stack, starts, m, bufs)
+
+        monkeypatch.setattr(layers_mod, "_row_conv", spy)
+        lyr = Conv1D(3, 4, 5, pad=2, rng=rng, dtype=np.float64)
+        out = lyr.forward(rng.standard_normal((2, 3, 9)))
+        lyr.backward(np.ones_like(out))
+        # forward over the 2 x 9 outputs; input gradient over the 2 x 9
+        # unpadded positions, not the 2 x 13 padded ones
+        assert widths == [18, 18]
 
 
 class TestInputGradFlag:
