@@ -46,6 +46,26 @@ spends s*s times the multiply-adds it needs; no stock model asks a
 strided layer for one.  Backward rebuilds each block from the cached
 map.
 
+A call of at least ``SPLIT_MACS`` multiply-adds (N * w2.size * Ho * Wo)
+splits its batch in two halves at the block boundary nearest N / 2, and
+its spline map and map gradient split with it.  The calling thread runs
+the first half while one helper thread runs the second, each with its own
+block buffers and weight- and bias-gradient sums, and the second half's
+sums are added to the first's.  The data alone fix the halves, so one
+Python thread running both halves in turn gives the same bytes as two:
+outputs and input gradients are those of the unsplit call, and the
+parameter gradients differ from it only in rounding.  The bytes do
+depend on the BLAS thread count.  A split call holds OpenBLAS to one
+thread, and restores the count it found when it returns or, within a
+``split_scope``, when the scope exits.  A model's forward is one scope;
+its backward is another, held to one thread from its start where its
+forward split a call.  The first split also holds glibc malloc to one
+arena, process-wide.  Only a
+process on exactly 2 cores splits, the only core count measured, and
+only where OpenBLAS has a thread-count getter and setter.  ``one_thread``
+keeps a process that shares the cores, a sweep worker, on one Python and
+one BLAS thread for good.
+
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
 [N, C, 1, L].  Their parameters, names and counts are those of that 2-D
@@ -61,7 +81,11 @@ counts.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -319,8 +343,9 @@ class _Weighted(Layer):
         self.bias = np.zeros(self.edge_shape[0], dtype=self.dtype)
         super().init_params(rng)
 
-    def _map(self, x, training):
-        """The map the kernel is applied to, and what ``_map_grad`` needs."""
+    def _map(self, x, training, halves=None):
+        """The map the kernel is applied to, computed per half of a split
+        call's ``halves``, and what ``_map_grad`` needs."""
         return x, None
 
     def _map_grad(self, dmap, aux):
@@ -329,6 +354,9 @@ class _Weighted(Layer):
     def _kernel(self):
         """Weight [O, K] over the map, and bias [O]."""
         return self.weight.reshape(self.edge_shape[0], -1), self.bias
+
+    # entries of the weight [O, K] that ``_kernel`` folds
+    _kernel_size = property(lambda self: math.prod(self.edge_shape))
 
     def _add_grads(self, gw, gb) -> None:
         self.grad["weight"] += gw.reshape(self.weight.shape)
@@ -363,7 +391,8 @@ class Linear(_Weighted):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise DimensionError(f"{self.name or type(self).__name__}: "
                                  f"expected [N,{self.in_features}], got {x.shape}")
-        xmap, aux = self._map(x, training)
+        n = x.shape[0]
+        xmap, aux = self._map(x, training, _split(n, n * self._kernel_size, 1))
         w2, bias = self._kernel()
         if training:
             self._cache = (xmap, aux, w2)
@@ -488,10 +517,162 @@ def _row_step(o, ho, wo, dtype):
     return max(1, BLOCK_BYTES // (o * per * dtype.itemsize), -(-o // per))
 
 
-def _conv_forward(xp, w2, bias, kh, kw, stride):
+# Multiply-adds of one call, N * w2.size * Ho * Wo (Ho = Wo = 1 for a
+# linear layer), from which it and its spline map run as two halves of the
+# batch on two threads.  At 2^27 a b128 LeNet-KAN conv2 split, gained
+# nothing and held 4-7% more memory; at 2^28 only the b512 LeNet-KAN
+# convolutions split.
+SPLIT_MACS = 1 << 28
+
+# pid -> that process's helper thread, a one-worker executor, or None
+# where a split call runs both halves in turn on the calling thread.  Keyed
+# by pid, since a forked child has no copy of its parent's threads.
+_HELPERS: dict = {}
+
+
+@functools.cache
+def _blas_threads():
+    """The loaded OpenBLAS's thread-count getter and setter, or None where
+    no loaded library exports them."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()
+                            and ln.split()[-1].startswith("/")})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _helper():
+    """This process's helper thread, started on first use, or None after
+    ``one_thread``.  Starting it holds glibc malloc to one arena,
+    process-wide, so that the helper's freed temporaries are reused rather
+    than kept in an arena of its own."""
+    pid = os.getpid()
+    if pid not in _HELPERS:
+        # imported here: it would add 6 ms (with logging) to every import
+        from concurrent.futures import ThreadPoolExecutor
+
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+            mallopt(-8, 1)      # M_ARENA_MAX
+        _HELPERS.clear()
+        _HELPERS[pid] = ThreadPoolExecutor(1)
+    return _HELPERS[pid]
+
+
+def one_thread() -> None:
+    """Keep this process on one Python thread and one BLAS thread, for
+    good: a split call runs both its halves in turn on the calling thread,
+    with the same bytes as on two threads.  For processes that share the
+    cores with their siblings, such as the sweep's workers."""
+    blas = _blas_threads()
+    if blas is not None:
+        blas[1](1)
+    _HELPERS.clear()
+    _HELPERS[os.getpid()] = None
+
+
+def _halves(n, step):
+    """Sample ranges ((0, m), (m, n)) of the two halves of a batch of n,
+    split at the boundary of ``step``-sample blocks nearest n / 2; None
+    for a batch of one block."""
+    if n <= step:
+        return None
+    m = (n + step) // (2 * step) * step
+    return (0, m), (m, n)
+
+
+def _split(n, macs, step):
+    """The halves of a call of ``macs`` multiply-adds over n samples in
+    blocks of ``step``, or None: below ``SPLIT_MACS``, off a 2-core
+    process (the only core count measured), or where OpenBLAS cannot be
+    held to one thread."""
+    if macs < SPLIT_MACS or _cores() != 2 or _blas_threads() is None:
+        return None
+    return _halves(n, step)
+
+
+# The BLAS thread count that the outermost ``split_scope`` restores, once
+# OpenBLAS has been held to one thread in it, and the scopes open.
+_SCOPE = {"threads": None, "depth": 0}
+
+
+def _hold_one_blas_thread() -> None:
+    """Hold OpenBLAS to one thread until the outermost ``split_scope``
+    exits."""
+    if _SCOPE["threads"] is None:
+        get_threads, set_threads = _blas_threads()
+        _SCOPE["threads"] = get_threads()
+        set_threads(1)
+
+
+def split_held() -> bool:
+    """Whether OpenBLAS is held to one thread in the open ``split_scope``."""
+    return _SCOPE["threads"] is not None
+
+
+@contextlib.contextmanager
+def split_scope(hold=False):
+    """Keep OpenBLAS at one thread from the first split call in this scope,
+    or from its start with ``hold``, until the outermost scope exits; then
+    restore the count it found.  A model's forward and backward each run
+    in one.  A two-thread GEMM between split calls, such as a linear
+    layer's, leaves an OpenBLAS worker spinning for about 0.1 s beside the
+    next call's two halves: that slowed a b512 LeNet-KAN step by a fifth."""
+    _SCOPE["depth"] += 1
+    try:
+        if hold:
+            _hold_one_blas_thread()
+        yield
+    finally:
+        _SCOPE["depth"] -= 1
+        if not _SCOPE["depth"] and _SCOPE["threads"] is not None:
+            _blas_threads()[1](_SCOPE["threads"])
+            _SCOPE["threads"] = None
+
+
+def _each_half(fn, n, halves):
+    """The results of fn(start, stop) over the sample ranges ``halves``,
+    or [fn(0, n)] for None.  The calling thread runs the first half while
+    the helper runs the second, with OpenBLAS held to one thread, so that
+    two Python threads run two BLAS threads, not four; an exception in
+    either half is raised once both have returned."""
+    if halves is None:
+        return [fn(0, n)]
+    helper = _helper()
+    if helper is None:
+        return [fn(*half) for half in halves]
+    with split_scope(hold=True):
+        second = helper.submit(fn, *halves[1])
+        try:
+            first = fn(*halves[0])
+        finally:
+            second.exception()      # waits for the second half to return
+    return [first, second.result()]
+
+
+def _conv_forward(xp, w2, bias, kh, kw, stride, halves):
     """Valid convolution of the padded input ``xp`` [N, C, H, W] with the
     weight ``w2`` [O, C*kh*kw] into the [N, O, Ho, Wo] output: row GEMMs
-    over each stacked block of samples."""
+    over each stacked block of samples, per half of ``halves``."""
     n, c, h, w = xp.shape
     o = w2.shape[0]
     ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
@@ -499,22 +680,29 @@ def _conv_forward(xp, w2, bias, kh, kw, stride):
     out = np.empty((n, o, ho, wo), dtype=dtype)
     step = _row_step(o, ho, wo, dtype)
     rows = _kernel_rows(w2.reshape(o, c, kh, kw), dtype)
-    bufs = np.empty((2, o * ho * min(step, n) * wo), dtype=dtype)
-    for s, e, stack, starts in _row_blocks(xp, kh, kw, stride, step, dtype):
-        ob = _row_conv(rows, stack, starts, ho * (e - s) * wo, bufs)
-        ob += bias[:, None]
-        out[s:e] = ob.reshape(o, ho, e - s, wo).transpose(2, 0, 1, 3)
+
+    def run(s0, e0):
+        bufs = np.empty((2, o * ho * min(step, e0 - s0) * wo), dtype=dtype)
+        for s, e, stack, starts in _row_blocks(xp[s0:e0], kh, kw, stride, step,
+                                               dtype):
+            ob = _row_conv(rows, stack, starts, ho * (e - s) * wo, bufs)
+            ob += bias[:, None]
+            out[s0 + s:s0 + e] = ob.reshape(o, ho, e - s, wo).transpose(2, 0, 1, 3)
+
+    _each_half(run, n, halves)
     return out
 
 
-def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad):
+def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad, halves):
     """Backward of ``_conv_forward`` from its output gradient ``dout``:
     returns the weight gradient [O, C*kh*kw], the bias gradient [O] and,
     with ``input_grad``, the gradient of ``xp`` (else None), whose
     ``pads`` border, the input's zero padding, is left 0.  Each block
     restacks ``xp`` and lays its output gradient G out [O, Ho*nb*Wo];
     kernel row ki adds its stack slice times G^T, [C*kw, O], to the weight
-    gradient.  The input gradient is the stride-1 row GEMMs, with the
+    gradient, and G's row sums add to the bias gradient.  Each half of
+    ``halves`` sums its own, and the second half's are added to the
+    first's.  The input gradient is the stride-1 row GEMMs, with the
     kernel flipped and its channel axes swapped, over G written at every
     ``stride``-th position of a zero border [nb, O, H + kh - 1, W + kw - 1],
     over the window whose outputs are the unpadded positions."""
@@ -522,43 +710,56 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad):
     o, ho, wo = dout.shape[1:]
     dtype = np.result_type(dout, xp, w2)
     step = _row_step(o, ho, wo, dtype)
-    nb = min(step, n)
-    gw = np.zeros((kh, c * kw, o), dtype=dtype)
-    gbuf = np.empty(o * ho * nb * wo, dtype=dtype)
     dxp = None
     if input_grad:
         (ph, pw), hi, wi = pads, h - 2 * pads[0], w - 2 * pads[1]
         adjoint = _kernel_rows(w2.reshape(o, c, kh, kw)[:, :, ::-1, ::-1]
                             .transpose(1, 0, 2, 3), dtype)
-        # sample-major, so every block's prefix keeps the zero border
-        bordered = np.zeros((nb, o, h + kh - 1, w + kw - 1), dtype=dtype)
-        spread = bordered[:, :, kh - 1:kh + stride * (ho - 1):stride,
-                          kw - 1:kw + stride * (wo - 1):stride]
-        window = bordered[:, :, ph:ph + hi + kh - 1, pw:pw + wi + kw - 1]
-        dstack = np.empty(math.prod(_stack_shape(window.shape, kh, kw, 1, nb)),
-                          dtype=dtype)
-        bufs = np.empty((2, c * hi * nb * wi), dtype=dtype)
         dxp = (np.zeros if ph or pw else np.empty)(xp.shape, dtype=dtype)
         inner = dxp[:, :, ph:ph + hi, pw:pw + wi]
-    for s, e, stack, starts in _row_blocks(xp, kh, kw, stride, step, dtype):
-        b = e - s
-        m = ho * b * wo
-        g = gbuf[:o * m].reshape(o, ho, b, wo)
-        g[...] = dout[s:e].transpose(1, 2, 0, 3)
-        g = g.reshape(o, m)
-        for ki, start in enumerate(starts):
-            gw[ki] += stack[:, start:start + m] @ g.T
+
+    def run(s0, e0):
+        nb = min(step, e0 - s0)
+        gw = np.zeros((kh, c * kw, o), dtype=dtype)
+        gb = np.zeros(o, dtype=dtype)
+        gbuf = np.empty(o * ho * nb * wo, dtype=dtype)
         if input_grad:
-            spread[:b] = dout[s:e]
-            dx = _row_conv(adjoint, *_row_stack(window[:b], kh, kw, 1, dstack),
-                           hi * b * wi, bufs)
-            inner[s:e] = dx.reshape(c, hi, b, wi).transpose(2, 0, 1, 3)
+            # sample-major, so every block's prefix keeps the zero border
+            bordered = np.zeros((nb, o, h + kh - 1, w + kw - 1), dtype=dtype)
+            spread = bordered[:, :, kh - 1:kh + stride * (ho - 1):stride,
+                              kw - 1:kw + stride * (wo - 1):stride]
+            window = bordered[:, :, ph:ph + hi + kh - 1, pw:pw + wi + kw - 1]
+            dstack = np.empty(math.prod(_stack_shape(window.shape, kh, kw, 1, nb)),
+                              dtype=dtype)
+            bufs = np.empty((2, c * hi * nb * wi), dtype=dtype)
+        for s, e, stack, starts in _row_blocks(xp[s0:e0], kh, kw, stride, step,
+                                               dtype):
+            s, e = s0 + s, s0 + e
+            b = e - s
+            m = ho * b * wo
+            g = gbuf[:o * m].reshape(o, ho, b, wo)
+            g[...] = dout[s:e].transpose(1, 2, 0, 3)
+            g = g.reshape(o, m)
+            for ki, start in enumerate(starts):
+                gw[ki] += stack[:, start:start + m] @ g.T
+            gb += g.sum(axis=1)
+            if input_grad:
+                spread[:b] = dout[s:e]
+                dx = _row_conv(adjoint, *_row_stack(window[:b], kh, kw, 1, dstack),
+                               hi * b * wi, bufs)
+                inner[s:e] = dx.reshape(c, hi, b, wi).transpose(2, 0, 1, 3)
+        return gw, gb
+
+    (gw, gb), *rest = _each_half(run, n, halves)
+    for part_w, part_b in rest:
+        gw += part_w
+        gb += part_b
     # [kh, C, kw, O] -> [O, C, kh, kw] one input channel at a time: a single
     # transposing copy of a large gradient misses cache on every element
     gw4, gw = gw.reshape(kh, c, kw, o), np.empty((o, c, kh, kw), dtype=dtype)
     for ci in range(c):
         gw[:, ci] = gw4[:, ci].transpose(2, 0, 1)
-    return gw.reshape(o, -1), dout.sum(axis=(0, 2, 3), dtype=dtype), dxp
+    return gw.reshape(o, -1), gb, dxp
 
 
 class Conv2D(_Weighted):
@@ -591,17 +792,22 @@ class Conv2D(_Weighted):
                                  f"expected {self.in_ch} channels, got {c}")
         # pad before mapping, so a KAN layer's padded taps read phi(0), not 0
         xp = _pad_input(x, self.kh, self.kw, self.stride, self._pads)
-        xmap, aux = self._map(xp, training)
+        n, _, h, w = xp.shape
+        ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, 0)
+        halves = _split(n, n * self._kernel_size * ho * wo,
+                        _row_step(self.out_ch, ho, wo, np.result_type(xp, self.dtype)))
+        xmap, aux = self._map(xp, training, halves)
         w2, bias = self._kernel()
-        out = _conv_forward(xmap, w2, bias, self.kh, self.kw, self.stride)
+        out = _conv_forward(xmap, w2, bias, self.kh, self.kw, self.stride, halves)
         if training:
-            self._cache = (xmap, aux, w2)
+            self._cache = (xmap, aux, w2, halves)
         return out
 
     def backward(self, dout, input_grad=True):
-        xmap, aux, w2 = self._need_cache(self._cache)
+        xmap, aux, w2, halves = self._need_cache(self._cache)
         gw, gb, dmap = _conv_backward(dout, xmap, w2, self.kh, self.kw,
-                                      self.stride, self._pads, input_grad)
+                                      self.stride, self._pads, input_grad,
+                                      halves)
         self._add_grads(gw, gb)
         if dmap is None:
             return None
@@ -656,36 +862,56 @@ class _SplineEdges:
         # the edges replace the classical weight draw, so skip past it
         Layer.init_params(self, rng)
 
-    def _map(self, x, training):
+    def _map(self, x, training, halves=None):
         """Per-pixel expansion of [N, C, ...] into the [N, C*(B+1), ...]
         map whose channel c*(B+1) + m holds act(x_c) for m = 0 and
-        basis_m(x_c) after it, written into one [N*C, B+1, pixels] table.
-        In training ``_map_grad`` gets the input, the table and, for SiLU,
-        the sigmoid it shares with its derivative."""
+        basis_m(x_c) after it, written into one [N*C, B+1, pixels] table,
+        per half of ``halves``.  In training ``_map_grad`` gets the input,
+        the table, for SiLU the sigmoid it shares with its derivative, and
+        the halves."""
         n, c = x.shape[:2]
         x3 = x.reshape(n * c, 1, -1)
         emap = np.empty((n * c, self.spec.basis_count + 1, x3.shape[2]), dtype=x3.dtype)
-        _basis_into(x3, self.spec, emap[:, 1:, None])
-        sig = None
-        if self.base_act == "silu":
-            sig = T.sigmoid(x3)
-            np.multiply(x3, sig, out=emap[:, :1])
-        else:
-            emap[:, :1] = self.act_fn(x3)
-        aux = (x3, emap, sig) if training else None
+        silu = self.base_act == "silu"
+        sig = np.empty_like(x3) if silu and training else None
+
+        def run(s, e):
+            rows = slice(s * c, e * c)
+            xr, er = x3[rows], emap[rows]
+            _basis_into(xr, self.spec, er[:, 1:, None])
+            if silu:
+                kept = None if sig is None else sig[rows]
+                np.multiply(xr, T.sigmoid(xr, out=kept), out=er[:, :1])
+            else:
+                er[:, :1] = self.act_fn(xr)
+
+        _each_half(run, n, halves)
+        aux = (x3, emap, sig, halves) if training else None
         return emap.reshape((n, -1) + x.shape[2:]), aux
 
     def _map_grad(self, demap, aux):
         """de[:, 0] * act'(x) + sum_m de[:, m] * basis_m'(x), the map
         gradient ``demap`` multiplied in place and summed over the map's
-        B + 1 slots."""
-        x3, emap, sig = aux
+        B + 1 slots, per half of the map's ``halves``."""
+        x3, emap, sig, halves = aux
         n = demap.shape[0]
+        c = x3.shape[0] // n
         de = demap.reshape(emap.shape)
-        de[:, :1] *= (T.silu_grad(x3, sig) if sig is not None
-                      else self.act_grad_fn(x3))
-        _basis_chain(x3, self.spec, emap[:, 1:, None], de[:, 1:, None])
-        return de.sum(axis=1).reshape((n, -1) + demap.shape[2:])
+        dx = np.empty((x3.shape[0], x3.shape[2]), dtype=de.dtype)
+
+        def run(s, e):
+            rows = slice(s * c, e * c)
+            xr, dr = x3[rows], de[rows]
+            dr[:, :1] *= (T.silu_grad(xr, sig[rows]) if sig is not None
+                          else self.act_grad_fn(xr))
+            _basis_chain(xr, self.spec, emap[rows, 1:, None], dr[:, 1:, None])
+            dr.sum(axis=1, out=dx[rows])
+
+        _each_half(run, n, halves)
+        return dx.reshape((n, -1) + demap.shape[2:])
+
+    _kernel_size = property(lambda self: (math.prod(self.edge_shape)
+                                          * (self.spec.basis_count + 1)))
 
     def _kernel(self):
         """Weight [O, C*(B+1)*taps] of the classical layer over the

@@ -58,6 +58,7 @@ class ModelGraph:
         self.output_kind = output_kind      # "logits" or "probs"
         self.meta = {} if meta is None else meta
         self.seed = seed
+        self._split = False     # whether the last forward split a call
         seen = set()
         for lyr in self._layers:
             if lyr.param_names or lyr.state_extra():
@@ -75,16 +76,22 @@ class ModelGraph:
         return self._layers
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        for lyr in self.layers:
-            x = lyr.forward(x, training=training)
+        with L.split_scope():
+            for lyr in self.layers:
+                x = lyr.forward(x, training=training)
+            self._split = L.split_held()
         return x
 
     def backward(self, dout: np.ndarray) -> None:
         """Accumulate every parameter gradient.  The first layer's input
-        gradient is never read, so it is not computed."""
-        for lyr in self.layers[:0:-1]:
-            dout = lyr.backward(dout)
-        self.layers[0].backward(dout, input_grad=False)
+        gradient is never read, so it is not computed.  Where the forward
+        split a call, the whole backward runs on one BLAS thread: the
+        layers before its first split call would otherwise leave a BLAS
+        worker spinning beside it."""
+        with L.split_scope(hold=self._split):
+            for lyr in self.layers[:0:-1]:
+                dout = lyr.backward(dout)
+            self.layers[0].backward(dout, input_grad=False)
 
     def zero_grads(self) -> None:
         for lyr in self.layers:

@@ -34,6 +34,7 @@ import numpy as np
 from .data import Dataset, subset_dataset
 from .errors import ConfigError
 from .evaluation import (finetune_pruned, latency_profile, prune_channels_l2)
+from .layers import one_thread
 from .models import build_lenet_kan_full, read_key_values
 from .splines import SplineSpec, bspline_spec, rbf_spec
 from .training import EarlyStopper, FitResult, fit
@@ -287,6 +288,8 @@ _WORKER: dict = {}
 
 
 def _init_worker(cfg, train, val):
+    # the workers share the cores: one Python and one BLAS thread each
+    one_thread()
     _WORKER["cfg"] = cfg
     _WORKER["train"] = train
     _WORKER["val"] = val

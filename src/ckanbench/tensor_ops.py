@@ -104,13 +104,13 @@ def silu_grad(x: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) from e = exp(-|x|), which never overflows:
-    1 / (1 + e) for x >= 0 and e / (1 + e) below."""
-    e = np.exp(-np.abs(x))
+    1 / (1 + e) for x >= 0 and e / (1 + e) below; into ``out`` if given."""
+    e = np.exp(-np.abs(x), out=out)
     num = np.where(x >= 0, 1, e)
     e += 1
-    return np.divide(num, e, out=num)
+    return np.divide(num, e, out=e)
 
 
 def sigmoid_grad(x: np.ndarray) -> np.ndarray:

@@ -46,6 +46,19 @@ def rng():
     return np.random.default_rng(42)
 
 
+@pytest.fixture()
+def forced_split(monkeypatch):
+    """Every layer call of two or more sample blocks splits into halves
+    of the batch, on any core count.  Skips where OpenBLAS cannot be held
+    to one thread, since the layers split no call there."""
+    import ckanbench.layers as layers_mod
+
+    if layers_mod._blas_threads() is None:
+        pytest.skip("the loaded BLAS exports no OpenBLAS thread-count setter")
+    monkeypatch.setattr(layers_mod, "SPLIT_MACS", 0)
+    monkeypatch.setattr(layers_mod, "_cores", lambda: 2)
+
+
 @pytest.fixture(scope="session")
 def synth_dir(tmp_path_factory):
     """Directory with a procedural digit corpus in the real IDX layout."""

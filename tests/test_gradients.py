@@ -112,6 +112,18 @@ class TestLayerGradients:
             check_layer_grads(lyr, x)
 
 
+class TestLayerGradientsSplit(TestLayerGradients):
+    """The same checks with every call of two or more samples split into
+    halves of the batch, over blocks of one sample where the layer has
+    more output positions than channels."""
+
+    @pytest.fixture(autouse=True)
+    def _split(self, forced_split, monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        monkeypatch.setattr(layers_mod, "BLOCK_BYTES", 1)
+
+
 class TestLossGradients:
     def test_softmax_ce(self, rng):
         logits = rng.standard_normal((8, 5))

@@ -492,6 +492,9 @@ def _spy_row_blocks(monkeypatch):
 
 
 class TestFlatSampleBlocks:
+    # the block sizes as compared: in order, as one thread yields them
+    blocks = staticmethod(list)
+
     @pytest.mark.parametrize("case", sorted(FLAT_BLOCKED_CASES))
     def test_blocks_match_one_block(self, case, rng, monkeypatch):
         import ckanbench.layers as layers_mod
@@ -508,7 +511,7 @@ class TestFlatSampleBlocks:
                             3 * _float64_flat_bytes(lyr, in_shape))
         blocked = _pass(lyr, x, dout)
         # forward, then backward: each splits the batch of 7 as 3 + 3 + 1
-        assert seen == [3, 3, 1, 3, 3, 1]
+        assert self.blocks(seen) == self.blocks([3, 3, 1, 3, 3, 1])
         for got, want in zip(blocked, whole):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -540,6 +543,8 @@ class TestRowGemmEdgeShapes:
     """The row-GEMM convolution against the naive convolution and an
     im2col/col2im reference, at strides 1 to 3, one-row kernels,
     degenerate output sizes and blockings."""
+
+    blocks = staticmethod(list)
 
     @pytest.mark.parametrize("c, o, in_hw, kh, kw, stride, pad", [
         (2, 3, (6, 7), 3, 2, 1, 2),
@@ -578,7 +583,7 @@ class TestRowGemmEdgeShapes:
         per = int(np.prod(out_shape[1:]))
         nb = 7 if per_block is None else max(per_block, -(-o // per))
         split = [nb] * (7 // nb) + [7 % nb] * (7 % nb > 0)
-        assert seen == split + split
+        assert self.blocks(seen) == self.blocks(split + split)
         want_out, want_gw, want_dx = _im2col_reference(
             x, lyr.weight, lyr.bias, stride, pad, dout)
         np.testing.assert_allclose(out, oracles.conv2d_naive(
@@ -762,3 +767,266 @@ class TestDerivativeWork:
                                axis=1)
         want = (demap.reshape(table.shape) * table).sum(axis=1)
         assert got.tobytes() == want.reshape(x.shape).tobytes()
+
+
+class TestFlatSampleBlocksSplit(TestFlatSampleBlocks):
+    """The same blockings with each call split into halves of the batch,
+    whose blocks two threads yield in either order."""
+
+    blocks = staticmethod(sorted)
+
+    @pytest.fixture(autouse=True)
+    def _split(self, forced_split):
+        pass
+
+
+class TestRowGemmEdgeShapesSplit(TestRowGemmEdgeShapes):
+    blocks = staticmethod(sorted)
+
+    @pytest.fixture(autouse=True)
+    def _split(self, forced_split):
+        pass
+
+
+def _model_step(spec, n):
+    """A LeNet-KAN training step on n samples: the logits, every layer's
+    input gradient (the first's too) and every parameter gradient."""
+    from ckanbench.models import build_lenet_kan_full
+
+    model = build_lenet_kan_full(spec, seed=0)
+    x = np.random.default_rng(1).standard_normal((n, 1, 28, 28)).astype(np.float32)
+    out = model.forward(x, training=True)
+    model.zero_grads()
+    got, dx = [("logits", out)], np.cos(np.arange(out.size, dtype=np.float32))
+    dx = dx.reshape(out.shape)
+    for lyr in reversed(model.layers):
+        dx = lyr.backward(dx)
+        got.append((f"{lyr.name}.input", dx))
+    params = [(n, g.copy()) for n, g in model.named_grads()]
+    return got, params
+
+
+def _thread_spy(monkeypatch):
+    """The set of threads that ``_row_blocks`` runs on."""
+    import threading
+
+    import ckanbench.layers as layers_mod
+
+    seen, row_blocks = set(), layers_mod._row_blocks
+
+    def spy(*args, **kw):
+        seen.add(threading.get_ident())
+        return row_blocks(*args, **kw)
+
+    monkeypatch.setattr(layers_mod, "_row_blocks", spy)
+    return seen
+
+
+def _split_conv_on_two_threads():
+    """Run a split KanConv2D call, which must take two threads, the
+    helper being this process's own (a forked child's too)."""
+    import os
+
+    import ckanbench.layers as layers_mod
+
+    rng = np.random.default_rng(0)
+    lyr = KanConv2D(2, 3, 3, pad=1, spec=rbf_spec(4), rng=rng)
+    with pytest.MonkeyPatch.context() as patch:
+        threads = _thread_spy(patch)
+        out = lyr.forward(rng.standard_normal((9, 2, 40, 40)).astype(np.float32))
+        lyr.backward(np.ones_like(out))
+    if len(threads) != 2 or os.getpid() not in layers_mod._HELPERS:
+        raise AssertionError(f"the split call ran on {len(threads)} threads")
+
+
+class TestSplitHalves:
+    """A large call splits its batch into two halves at a block boundary
+    fixed by the data, so its bytes do not depend on the threads."""
+
+    @pytest.mark.parametrize("n, step, want", [
+        (1, 1, None),
+        (1, 6, None),
+        (6, 6, None),                       # one block
+        (7, 6, ((0, 6), (6, 7))),
+        (2, 1, ((0, 1), (1, 2))),
+        (3, 1, ((0, 2), (2, 3))),
+        (37, 6, ((0, 18), (18, 37))),       # 7 blocks: 3 + 4, the last of 1
+        (37, 20, ((0, 20), (20, 37))),
+        (512, 6, ((0, 258), (258, 512))),   # LeNet-KAN kconv1 at b512
+    ])
+    def test_halves_at_a_block_boundary(self, n, step, want):
+        import ckanbench.layers as layers_mod
+
+        assert layers_mod._halves(n, step) == want
+
+    @pytest.mark.parametrize("make", [
+        lambda g: Linear(5, 4, rng=g),
+        lambda g: Conv2D(2, 3, 3, 2, rng=g),
+        lambda g: Conv1D(2, 3, 5, rng=g),
+        lambda g: KanConv2D(2, 3, 3, spec=bspline_spec(5, 3), rng=g),
+        lambda g: KanConv1D(2, 3, 3, spec=rbf_spec(4), rng=g),
+        lambda g: KanLinear(6, 4, spec=rbf_spec(4), rng=g),
+    ], ids=["linear", "conv2d", "conv1d", "kanconv2d", "kanconv1d", "kanlinear"])
+    def test_gate_counts_the_folded_kernel(self, make, rng):
+        lyr = make(rng)
+        assert lyr._kernel_size == lyr._kernel()[0].size
+
+    def test_gate_is_read_at_call_time(self, monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        if layers_mod._blas_threads() is None:
+            pytest.skip("the loaded BLAS exports no OpenBLAS thread-count setter")
+        monkeypatch.setattr(layers_mod, "_cores", lambda: 2)
+        gate = layers_mod.SPLIT_MACS
+        assert layers_mod._split(8, gate - 1, 2) is None
+        assert layers_mod._split(8, gate, 2) == ((0, 4), (4, 8))
+        monkeypatch.setattr(layers_mod, "SPLIT_MACS", gate + 1)
+        assert layers_mod._split(8, gate, 2) is None
+
+    @pytest.mark.parametrize("cores", [1, 3, 8])
+    def test_only_a_two_core_process_splits(self, cores, forced_split,
+                                            monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        monkeypatch.setattr(layers_mod, "_cores", lambda: cores)
+        assert layers_mod._split(8, 1 << 62, 2) is None
+
+    def test_split_restores_the_blas_thread_count(self, forced_split):
+        import ckanbench.layers as layers_mod
+
+        get_threads, set_threads = layers_mod._blas_threads()
+        before = get_threads()
+        seen = []
+
+        def half(start, stop):
+            seen.append(get_threads())
+            if start:
+                raise ValueError("second half")
+
+        try:
+            for want in (3, 2):
+                set_threads(want)
+                seen.clear()
+                with pytest.raises(ValueError):
+                    layers_mod._each_half(half, 4, ((0, 2), (2, 4)))
+                assert seen == [1, 1]
+                assert get_threads() == want
+                _split_conv_on_two_threads()
+                assert get_threads() == want
+        finally:
+            set_threads(before)
+
+    @pytest.mark.parametrize("gate, held", [(0, 1), (1 << 62, 2)],
+                             ids=["split", "unsplit"])
+    def test_model_backward_holds_one_blas_thread_after_a_split(
+            self, gate, held, forced_split, monkeypatch):
+        import ckanbench.layers as layers_mod
+        from ckanbench.models import build_lenet_kan_full
+
+        monkeypatch.setattr(layers_mod, "SPLIT_MACS", gate)
+        get_threads, set_threads = layers_mod._blas_threads()
+        model = build_lenet_kan_full(rbf_spec(4), seed=0)
+        # the output layer splits nothing: it is the backward's first
+        last, seen = model.layers[-1], []
+        backward = last.backward
+
+        def spy(*args, **kw):
+            seen.append(get_threads())
+            return backward(*args, **kw)
+
+        monkeypatch.setattr(last, "backward", spy)
+        before = get_threads()
+        set_threads(2)
+        try:
+            x = np.random.default_rng(1).standard_normal((9, 1, 28, 28))
+            out = model.forward(x.astype(np.float32), training=True)
+            after_forward = get_threads()
+            model.backward(np.ones_like(out))
+            after_backward = get_threads()
+        finally:
+            set_threads(before)
+        assert seen == [held]
+        assert after_forward == after_backward == 2
+
+    @pytest.mark.parametrize("spec", [rbf_spec(4), bspline_spec(5, 3)],
+                             ids=["rbf", "bspline"])
+    def test_one_thread_and_two_give_the_same_bytes(self, spec, forced_split,
+                                                    monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        threads = _thread_spy(monkeypatch)
+        # b37: kconv1's 7 blocks of 6 split 18 + 19, kconv2's 2 of 20
+        # split 20 + 17
+        two = _model_step(spec, 37)
+        assert len(threads) == 2
+        # as in a sweep worker: one Python thread and one BLAS thread
+        get_threads, set_threads = layers_mod._blas_threads()
+        before = get_threads()
+        monkeypatch.setattr(layers_mod, "_HELPERS", {})
+        layers_mod.one_thread()
+        threads.clear()
+        try:
+            one = _model_step(spec, 37)
+        finally:
+            set_threads(before)
+        assert len(threads) == 1
+        for (name, got), (_, want) in zip(one[0] + one[1], two[0] + two[1]):
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("spec", [rbf_spec(4), bspline_spec(5, 3)],
+                             ids=["rbf", "bspline"])
+    def test_split_keeps_outputs_and_input_grads(self, spec, forced_split,
+                                                 monkeypatch):
+        import ckanbench.layers as layers_mod
+
+        # at the one BLAS thread that a split call's halves run on
+        get_threads, set_threads = layers_mod._blas_threads()
+        before = get_threads()
+        set_threads(1)
+        try:
+            split = _model_step(spec, 37)
+            monkeypatch.setattr(layers_mod, "SPLIT_MACS", 1 << 62)
+            whole = _model_step(spec, 37)
+        finally:
+            set_threads(before)
+        for (name, got), (_, want) in zip(split[0], whole[0]):
+            assert got.tobytes() == want.tobytes(), name
+        # the halves' parameter gradients are summed in another order
+        for (name, got), (_, want) in zip(split[1], whole[1]):
+            np.testing.assert_allclose(got, want, rtol=1e-6,
+                                       atol=1e-6 * np.abs(want).max(),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("failing", [0, 2], ids=["caller", "helper"])
+    def test_exception_raised_after_both_halves_return(self, failing,
+                                                       forced_split):
+        import time
+
+        import ckanbench.layers as layers_mod
+
+        done = []
+
+        def half(start, stop):
+            if start == failing:
+                raise ValueError(f"half from {start}")
+            time.sleep(0.05)
+            done.append(start)
+
+        with pytest.raises(ValueError, match=f"half from {failing}"):
+            layers_mod._each_half(half, 4, ((0, 2), (2, 4)))
+        assert done == [2 - failing]
+
+    def test_forked_child_starts_its_own_helper(self, forced_split):
+        import multiprocessing as mp
+
+        _split_conv_on_two_threads()    # this process's helper runs
+        child = mp.get_context("fork").Process(target=_split_conv_on_two_threads)
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        exitcode = child.exitcode
+        child.close()
+        assert not alive and exitcode == 0

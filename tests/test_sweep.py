@@ -463,3 +463,48 @@ class TestCellFailureIsolation:
         assert results[0].reason == "MemoryError: no room"
         # both cells of the base are profiled on one model
         assert profiled[0] is profiled[1]
+
+
+class TestWorkerThreads:
+    """Each forked worker keeps to one Python thread and one BLAS thread."""
+
+    def test_worker_runs_both_halves_on_its_thread(self, forced_split,
+                                                   monkeypatch, rng):
+        import threading
+
+        import ckanbench.layers as layers_mod
+        import ckanbench.sweep as sweep_mod
+        from ckanbench.layers import KanConv2D
+        from ckanbench.splines import rbf_spec
+
+        blas_threads = []
+        monkeypatch.setattr(layers_mod, "_blas_threads",
+                            lambda: (lambda: 2, blas_threads.append))
+        monkeypatch.setattr(layers_mod, "_HELPERS", {})
+        monkeypatch.setattr(sweep_mod, "_WORKER", {})
+        sweep_mod._init_worker(None, None, None)
+        assert blas_threads == [1]
+
+        calls, row_blocks = [], layers_mod._row_blocks
+
+        def spy(*args, **kw):
+            calls.append(threading.get_ident())
+            return row_blocks(*args, **kw)
+
+        monkeypatch.setattr(layers_mod, "_row_blocks", spy)
+        lyr = KanConv2D(2, 3, 3, pad=1, spec=rbf_spec(4), rng=rng)
+        lyr.forward(rng.standard_normal((9, 2, 40, 40)).astype(np.float32))
+        # blocks of 6 samples: halves 6 + 3, both on the calling thread
+        assert calls == [threading.get_ident()] * 2
+
+    def test_forked_pool_with_forced_splits_matches_serial(
+            self, tmp_path, forced_split, digit_train_val):
+        train, val = digit_train_val
+        cfg = _tiny_sweep_cfg(grid_sizes=[1], prune_ratios=[0.0, 0.4],
+                              subset=200, epochs=1)
+        # the parent runs its halves on two threads, each worker on one
+        serial = run_sweep(cfg, train, val, str(tmp_path / "s"), workers=1)
+        forked = run_sweep(cfg, train, val, str(tmp_path / "f"), workers=2)
+        for a, b in zip(serial, forked):
+            assert a.status == b.status == "ok"
+            assert a.val_loss == b.val_loss
