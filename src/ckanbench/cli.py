@@ -69,11 +69,15 @@ def _load_train_val(model_name: str, args):
     return train, val
 
 
-def _save_run(out_dir: str, model, report) -> None:
+def _save_model(out_dir: str, model) -> None:
     os.makedirs(out_dir, exist_ok=True)
     M.save_model_config(os.path.join(out_dir, "config.txt"),
                         M.model_config(model))
     ckpt.save_checkpoint(model, out_dir)
+
+
+def _save_run(out_dir: str, model, report) -> None:
+    _save_model(out_dir, model)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -173,10 +177,7 @@ def cmd_prune(args) -> int:
     print(f"params_after {model.param_count()}")
     print(f"macs_after {model.mac_count()}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        M.save_model_config(os.path.join(args.out, "config.txt"),
-                            M.model_config(model))
-        ckpt.save_checkpoint(model, args.out)
+        _save_model(args.out, model)
         print(f"saved {args.out}")
     return 0
 

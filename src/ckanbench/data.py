@@ -300,25 +300,6 @@ def subset_dataset(ds: Dataset, n: int, seed: int = 0) -> Dataset:
     return ds.take(idx, f"{ds.name}-sub{n}")
 
 
-def synthetic_blobs(n: int, classes: int = 3, dim: int = 2, seed: int = 0,
-                    spread: float = 0.15) -> Dataset:
-    """Gaussian clusters with pairwise center distance >= 3."""
-    if classes < 1 or dim < 1 or n < classes:
-        raise ConfigError("need n >= classes >= 1 and dim >= 1")
-    rng = np.random.default_rng(seed)
-    centers = rng.standard_normal((classes, dim))
-    if classes > 1:
-        diffs = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt((diffs ** 2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        centers *= 3.0 / dist.min()
-    labels = np.arange(n) % classes
-    labels = rng.permutation(labels)
-    x = centers[labels] + spread * rng.standard_normal((n, dim))
-    return Dataset(x.astype(np.float32), labels.astype(np.int64),
-                   name="blobs", meta={"classes": classes})
-
-
 def synthetic_multilabel(n: int, n_features: int = 20, n_labels: int = 5,
                          seed: int = 0, prevalence: float = 0.3) -> Dataset:
     """Linear latent scores thresholded at per-label quantiles, so each

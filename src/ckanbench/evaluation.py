@@ -26,8 +26,7 @@ from .training import FitResult, fit
 __all__ = [
     "MetricsBlock", "MetricsReport", "topk_metrics", "metrics_report",
     "multilabel_metrics", "LatencyProfile", "latency_profile",
-    "PruneMask", "prune_channels_l2", "apply_prune_mask",
-    "masked_scalar_count", "finetune_pruned",
+    "PruneMask", "prune_channels_l2", "apply_prune_mask", "finetune_pruned",
 ]
 
 
@@ -218,17 +217,6 @@ def apply_prune_mask(model, pmask: PruneMask) -> None:
                 f"{name}: mask shape {mask.shape} != {current.shape}")
     for name, mask in pmask.masks.items():
         layers[name].channel_mask = layers[name].channel_mask & mask
-
-
-def masked_scalar_count(model) -> int:
-    """Learnable scalars belonging to currently masked channels, over every
-    layer that carries a channel mask (``apply_prune_mask`` accepts any)."""
-    total = 0
-    for layer in model.layers:
-        mask = getattr(layer, "channel_mask", None)
-        if mask is not None:
-            total += int((~mask).sum()) * layer.channel_param_count()
-    return total
 
 
 def finetune_pruned(model, pmask: PruneMask, train, val, epochs: int = 1,

@@ -112,13 +112,15 @@ def _act_pair(kind: str):
 DRAW_CHUNK = 1 << 16
 
 
-def _draw(sample, shape, dtype) -> np.ndarray:
-    """``sample(size)`` over ``shape`` cast to ``dtype``, drawn in chunks of
-    ``DRAW_CHUNK`` from the same stream, so it equals the one-shot draw."""
+def _draw(rng, dist: str, args: tuple, shape, dtype) -> np.ndarray:
+    """``rng.<dist>(*args, size)`` over ``shape`` cast to ``dtype``, drawn in
+    chunks of ``DRAW_CHUNK`` from the same stream, so it equals the one-shot
+    draw.  With ``rng`` None the array is allocated and left unset."""
     out = np.empty(shape, dtype=dtype)
-    flat = out.reshape(-1)
-    for s in range(0, flat.size, DRAW_CHUNK):
-        flat[s:s + DRAW_CHUNK] = sample(min(DRAW_CHUNK, flat.size - s))
+    if rng is not None:
+        flat = out.reshape(-1)
+        for s in range(0, flat.size, DRAW_CHUNK):
+            flat[s:s + DRAW_CHUNK] = getattr(rng, dist)(*args, min(DRAW_CHUNK, flat.size - s))
     return out
 
 
@@ -145,8 +147,9 @@ class Layer:
         raise NotImplementedError
 
     def init_params(self, rng) -> None:
-        """Draw the parameters from ``rng``.  A parametric layer sets them,
-        then calls this to give each a zeroed gradient buffer."""
+        """Draw the parameters from ``rng``, or with None allocate them unset
+        for a state load.  A parametric layer sets them, then calls this to
+        give each a zeroed gradient buffer."""
         # np.zeros leaves the pages unmapped until a gradient is written
         self.grad = {n: np.zeros(p.shape, p.dtype) for n, p in self.params()}
 
@@ -336,7 +339,7 @@ class _Weighted(Layer):
         """U(-1/sqrt(fan-in), 1/sqrt(fan-in)) over ``edge_shape``."""
         shape = self.edge_shape
         bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
-        return _draw(lambda k: rng.uniform(-bound, bound, k), shape, self.dtype)
+        return _draw(rng, "uniform", (-bound, bound), shape, self.dtype)
 
     def init_params(self, rng):
         self.weight = self._uniform(rng)
@@ -636,7 +639,10 @@ def split_scope(hold=False):
     restore the count it found.  A model's forward and backward each run
     in one.  A two-thread GEMM between split calls, such as a linear
     layer's, leaves an OpenBLAS worker spinning for about 0.1 s beside the
-    next call's two halves: that slowed a b512 LeNet-KAN step by a fifth."""
+    next call's two halves: that slowed a b512 LeNet-KAN step by a fifth.
+    The hold waits for a split call: on 2 cores, one BLAS thread slowed
+    passes that never split (a b32 B-spline LeNet-KAN forward by 13-25%,
+    a classical LeNet step by 3-15%, in two rounds of paired runs)."""
     _SCOPE["depth"] += 1
     try:
         if hold:
@@ -855,7 +861,7 @@ class _SplineEdges:
         shape, dtype, b = self.edge_shape, self.dtype, self.spec.basis_count
         self.w_base = self._uniform(rng)
         self.w_spline = np.ones(shape, dtype=dtype)
-        self.coeffs = _draw(lambda k: rng.normal(0.0, 0.1 / np.sqrt(b), k),
+        self.coeffs = _draw(rng, "normal", (0.0, 0.1 / np.sqrt(b)),
                             shape + (b,), dtype)
         self.shift = np.zeros(shape, dtype=dtype)
         self.bias = np.zeros(shape[0], dtype=dtype)

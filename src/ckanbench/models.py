@@ -45,7 +45,7 @@ class ModelGraph:
 
     Layers may be built without their parameters.  The first access to
     ``layers`` draws every undrawn one, in layer order, from
-    ``default_rng(seed)``; counts and shapes never draw.
+    ``default_rng(seed)``; counts, shapes and ``load_state`` never draw.
     """
 
     def __init__(self, name: str, layers: list, input_shape: tuple,
@@ -66,10 +66,12 @@ class ModelGraph:
                     raise ConsistencyError(f"layer name {lyr.name!r} missing or duplicated")
                 seen.add(lyr.name)
 
+    def _undrawn(self) -> list:
+        return [lyr for lyr in self._layers if lyr.param_names and lyr.grad is None]
+
     @property
     def layers(self) -> list:
-        undrawn = [lyr for lyr in self._layers if lyr.param_names and lyr.grad is None]
-        if undrawn:
+        if undrawn := self._undrawn():
             rng = np.random.default_rng(self.seed)
             for lyr in undrawn:
                 lyr.init_params(rng)
@@ -123,19 +125,28 @@ class ModelGraph:
         return {name: arr.copy() for name, arr in self.state_items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy ``state`` into the parameters; its names, shapes and dtypes
-        must be the model's own."""
+        """Copy ``state`` into the parameters once all its names, shapes and
+        dtypes are found to be the model's own.  Undrawn layers get theirs
+        allocated for it, not drawn, and stay undrawn if it raises."""
+        fresh = self._undrawn()
+        for lyr in fresh:
+            lyr.init_params(None)
         items = dict(self.state_items())
-        if set(items) != set(state):
-            missing = sorted(set(items) ^ set(state))
-            raise ConsistencyError(f"state does not match the model: {missing}")
+        try:
+            if set(items) != set(state):
+                missing = sorted(set(items) ^ set(state))
+                raise ConsistencyError(f"state does not match the model: {missing}")
+            for name, arr in items.items():
+                src = np.asarray(state[name])
+                if src.shape != arr.shape or src.dtype != arr.dtype:
+                    raise ConsistencyError(f"{name}: state has {src.dtype}{src.shape}, "
+                                           f"model has {arr.dtype}{arr.shape}")
+        except BaseException:
+            for lyr in fresh:
+                lyr.grad = None
+            raise
         for name, arr in items.items():
-            src = np.asarray(state[name])
-            if src.shape != arr.shape or src.dtype != arr.dtype:
-                raise ConsistencyError(
-                    f"{name}: state has {src.dtype}{src.shape}, "
-                    f"model has {arr.dtype}{arr.shape}")
-            arr[...] = src
+            arr[...] = state[name]
 
     def param_count(self) -> int:
         return sum(lyr.param_count() for lyr in self._layers)
@@ -148,15 +159,6 @@ class ModelGraph:
             total += lyr.mac_count(shape)
             shape = lyr.output_shape(shape)
         return total
-
-    def layer_shapes(self) -> list[tuple[str, tuple, tuple]]:
-        out = []
-        shape = self.input_shape
-        for lyr in self._layers:
-            nxt = lyr.output_shape(shape)
-            out.append((lyr.name or type(lyr).__name__, shape, nxt))
-            shape = nxt
-        return out
 
     def kan_conv_layers(self) -> list:
         return [lyr for lyr in self.layers if isinstance(lyr, L.KanConv2D)]

@@ -22,10 +22,7 @@ behind them: ``_basis_into`` writes the basis into a given table (a
 strided slice of the layer's map, so no copy follows), and
 ``_basis_chain`` multiplies a gradient table in place by the derivative,
 computed only then (for B-splines from the K + 1 nonzero slopes, never as
-a full table).  ``basis_and_deriv_block`` is that chain applied to ones,
-and the public ``basis_eval`` / ``basis_deriv`` wrap the block helpers,
-which keeps the layer math and any reference computation numerically
-identical.
+a full table).  ``basis_and_deriv_block`` is that chain applied to ones.
 """
 
 from __future__ import annotations
@@ -40,8 +37,7 @@ from .errors import ConfigError
 
 __all__ = [
     "BasisFamily", "SplineSpec", "bspline_spec", "rbf_spec",
-    "make_knots", "rbf_centers", "rbf_bandwidth",
-    "basis_eval", "basis_deriv", "basis_block", "basis_and_deriv_block",
+    "rbf_centers", "rbf_bandwidth", "basis_block", "basis_and_deriv_block",
 ]
 
 
@@ -104,16 +100,6 @@ def bspline_spec(grid_size: int = 5, degree: int = 3,
 def rbf_spec(grid_size: int = 4,
              domain: tuple[float, float] | None = None) -> SplineSpec:
     return SplineSpec(BasisFamily.RBF, grid_size, 0, domain)
-
-
-def make_knots(spec: SplineSpec) -> np.ndarray:
-    """Uniform extended knot vector, length G + 2K + 1 (B-spline only)."""
-    if spec.family is not BasisFamily.BSPLINE:
-        raise ConfigError(f"knots are only defined for bspline, not {spec.family.value}")
-    a, b = spec.domain
-    g, k = spec.grid_size, spec.degree
-    h = (b - a) / g
-    return a + h * (np.arange(g + 2 * k + 1, dtype=np.float64) - k)
 
 
 def rbf_centers(spec: SplineSpec) -> np.ndarray:
@@ -289,29 +275,3 @@ def basis_and_deriv_block(x3: np.ndarray, spec: SplineSpec):
     der = np.ones_like(val)
     _basis_chain(x3, spec, val, der)
     return val, der
-
-
-def _as_block(x) -> tuple[np.ndarray, tuple]:
-    arr = np.asarray(x)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
-    return arr.reshape(1, max(arr.size, 0), 1), arr.shape
-
-
-def basis_eval(x, spec: SplineSpec) -> np.ndarray:
-    """All basis values at x; output shape = x.shape + (B,).
-
-    Scalars come back as a rank-1 array of length B.
-    """
-    x3, shp = _as_block(x)
-    blk = basis_block(x3, spec)                       # [1, B, n, 1]
-    out = np.ascontiguousarray(blk[0, :, :, 0].T)     # [n, B]
-    return out.reshape(shp + (spec.basis_count,))
-
-
-def basis_deriv(x, spec: SplineSpec) -> np.ndarray:
-    """Elementwise d basis / dx at x; output shape = x.shape + (B,)."""
-    x3, shp = _as_block(x)
-    _, der = basis_and_deriv_block(x3, spec)
-    out = np.ascontiguousarray(der[0, :, :, 0].T)
-    return out.reshape(shp + (spec.basis_count,))

@@ -221,6 +221,19 @@ def multilabel_metrics_naive(probs, targets, threshold=0.5):
     return agree / (n * m), p, r, f
 
 
+# ------------------------------------------------------------- pruning
+
+def masked_scalar_count(model) -> int:
+    """Learnable scalars belonging to currently masked channels, over every
+    layer that carries a channel mask (``apply_prune_mask`` accepts any)."""
+    total = 0
+    for layer in model.layers:
+        mask = getattr(layer, "channel_mask", None)
+        if mask is not None:
+            total += int((~mask).sum()) * layer.channel_param_count()
+    return total
+
+
 # -------------------------------------------------------------- losses
 
 def softmax_ce_naive(logits, labels):

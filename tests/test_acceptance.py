@@ -23,7 +23,6 @@ from ckanbench.evaluation import (
     apply_prune_mask,
     finetune_pruned,
     latency_profile,
-    masked_scalar_count,
     multilabel_metrics,
     prune_channels_l2,
     topk_metrics,
@@ -442,7 +441,7 @@ def test_criterion_09_prune_param_cut():
     before = model.param_count()
     pmask = prune_channels_l2(model, 0.25)
     apply_prune_mask(model, pmask)
-    cut = masked_scalar_count(model)
+    cut = oracles.masked_scalar_count(model)
     assert model.param_count() == before - cut
     frac = cut / before
     assert frac >= 0.10

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT
-from ckanbench.data import (MNIST_FILES, Dataset, _proportional_counts,
+from ckanbench.data import (MNIST_FILES, _proportional_counts,
                             load_mnist_dir, load_mnist_idx, load_tabular_csv,
                             read_idx, split_dataset, subset_dataset,
-                            synthetic_blobs, synthetic_digits,
-                            synthetic_multilabel,
+                            synthetic_digits, synthetic_multilabel,
                             write_idx_images, write_idx_labels,
                             write_synthetic_mnist)
 from ckanbench.errors import ConfigError, ConsistencyError, FormatError
+from support import blobs
 
 
 class TestIdxRoundTrip:
@@ -301,7 +301,7 @@ class TestTabularCsv:
 
 class TestSplits:
     def test_stratified_within_one(self):
-        ds = synthetic_blobs(300, classes=3, dim=4, seed=0)
+        ds = blobs(300, classes=3, dim=4, seed=0)
         train, val = split_dataset(ds, 0.2, seed=1)
         assert len(train) + len(val) == 300
         for cls in range(3):
@@ -309,7 +309,7 @@ class TestSplits:
             assert abs(n_val - 0.2 * 100) <= 1
 
     def test_split_disjoint_and_complete(self):
-        ds = synthetic_blobs(120, classes=4, dim=3, seed=2)
+        ds = blobs(120, classes=4, dim=3, seed=2)
         # tag every sample uniquely through the feature vector
         ds.inputs[:, 0] = np.arange(120)
         train, val = split_dataset(ds, 0.25, seed=3)
@@ -317,14 +317,14 @@ class TestSplits:
         assert sorted(tags.tolist()) == list(range(120))
 
     def test_split_deterministic(self):
-        ds = synthetic_blobs(100, classes=2, dim=2, seed=4)
+        ds = blobs(100, classes=2, dim=2, seed=4)
         a = split_dataset(ds, 0.3, seed=7)
         b = split_dataset(ds, 0.3, seed=7)
         np.testing.assert_array_equal(a[0].inputs, b[0].inputs)
         np.testing.assert_array_equal(a[1].targets, b[1].targets)
 
     def test_split_validates_fraction(self):
-        ds = synthetic_blobs(30, classes=3, dim=2)
+        ds = blobs(30, classes=3, dim=2)
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ConfigError):
                 split_dataset(ds, bad)
@@ -337,7 +337,7 @@ class TestSplits:
 
 class TestSubset:
     def test_proportional_counts(self):
-        ds = synthetic_blobs(1000, classes=10, dim=2, seed=0)
+        ds = blobs(1000, classes=10, dim=2, seed=0)
         sub = subset_dataset(ds, 333, seed=1)
         assert len(sub) == 333
         counts = np.bincount(sub.targets, minlength=10)
@@ -357,36 +357,23 @@ class TestSubset:
         assert (np.abs(counts - sizes * (n / total)) <= 1).all()
 
     def test_full_size_is_identity(self):
-        ds = synthetic_blobs(50, classes=5, dim=2, seed=0)
+        ds = blobs(50, classes=5, dim=2, seed=0)
         assert subset_dataset(ds, 50) is ds
 
     def test_deterministic(self):
-        ds = synthetic_blobs(200, classes=4, dim=2, seed=3)
+        ds = blobs(200, classes=4, dim=2, seed=3)
         a = subset_dataset(ds, 77, seed=9)
         b = subset_dataset(ds, 77, seed=9)
         np.testing.assert_array_equal(a.inputs, b.inputs)
 
     def test_range_validation(self):
-        ds = synthetic_blobs(20, classes=2, dim=2)
+        ds = blobs(20, classes=2, dim=2)
         for bad in (0, 21, -3):
             with pytest.raises(ConfigError):
                 subset_dataset(ds, bad)
 
 
 class TestSynthetics:
-    def test_blob_centers_separated(self):
-        ds = synthetic_blobs(60, classes=4, dim=5, seed=6)
-        centers = np.stack([ds.inputs[ds.targets == c].mean(axis=0)
-                            for c in range(4)])
-        diffs = centers[:, None] - centers[None, :]
-        dist = np.sqrt((diffs ** 2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        assert dist.min() > 2.0   # spread 0.15 around distance-3 centers
-
-    def test_blob_label_balance(self):
-        ds = synthetic_blobs(90, classes=3, dim=2, seed=0)
-        np.testing.assert_array_equal(np.bincount(ds.targets), [30, 30, 30])
-
     def test_multilabel_prevalence(self):
         ds = synthetic_multilabel(400, n_features=6, n_labels=4, seed=2,
                                   prevalence=0.3)
@@ -432,7 +419,7 @@ class TestSynthetics:
         assert len(train) == 30 and len(test) == 10
 
     def test_dataset_take(self):
-        ds = synthetic_blobs(10, classes=2, dim=2, seed=0)
+        ds = blobs(10, classes=2, dim=2, seed=0)
         sub = ds.take(np.array([3, 1]), name="picked")
         assert sub.name == "picked" and len(sub) == 2
         np.testing.assert_array_equal(sub.inputs, ds.inputs[[3, 1]])

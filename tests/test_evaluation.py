@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 
 import oracles
-from ckanbench.data import synthetic_blobs
 from ckanbench.errors import (ConfigError, ConsistencyError, DimensionError,
                               StateError)
 from ckanbench.evaluation import (LatencyProfile, MetricsBlock, PruneMask,
                                   apply_prune_mask, finetune_pruned,
-                                  latency_profile, masked_scalar_count,
-                                  metrics_report, multilabel_metrics,
+                                  latency_profile, metrics_report,
+                                  multilabel_metrics,
                                   prune_channels_l2, topk_metrics)
 from ckanbench.models import build_lenet_kan, build_lenet_kan_full
 from ckanbench.splines import rbf_spec
 from ckanbench.training import fit
+from support import blobs
 
 
 def _tiny_image_blobs(seed=0):
     """Blob features reshaped to 1x2x2 images, split train/val."""
     from ckanbench.data import Dataset, split_dataset
-    ds = synthetic_blobs(240, classes=3, dim=4, seed=seed)
+    ds = blobs(240, classes=3, dim=4, seed=seed)
     ds = Dataset(ds.inputs.reshape(-1, 1, 2, 2).astype(np.float32),
                  ds.targets, name="blobs4")
     return split_dataset(ds, 0.25, seed=1)
@@ -237,7 +237,7 @@ class TestPruning:
         apply_prune_mask(model, pmask)
         after = model.param_count()
         assert after < before
-        assert before == after + masked_scalar_count(model)
+        assert before == after + oracles.masked_scalar_count(model)
 
     def test_masked_scalars_count_a_kan_linear_mask(self):
         model = build_lenet_kan(rbf_spec(4))
@@ -248,7 +248,7 @@ class TestPruning:
         apply_prune_mask(model, PruneMask(0.0, {"kfc1": mask}))
         after = model.param_count()
         assert before - after == 3 * kfc1.channel_param_count()
-        assert before == after + masked_scalar_count(model)
+        assert before == after + oracles.masked_scalar_count(model)
 
     def test_mac_count_drops(self):
         model = self._model()

@@ -14,6 +14,7 @@ from ckanbench.layers import (Activation, Conv1D, Conv2D, Flatten,
                               KanLinear, Linear, MaxPool1D, MaxPool2D,
                               Reshape)
 from ckanbench.splines import bspline_spec, rbf_spec
+from support import basis
 
 
 class TestConv2DForward:
@@ -745,8 +746,6 @@ class TestDerivativeWork:
                                   "rbf-5"])
     @pytest.mark.parametrize("kind", ["conv", "linear"])
     def test_map_grad_equals_basis_deriv_chaining(self, spec, kind, rng):
-        from ckanbench.splines import basis_deriv
-
         a, b = spec.domain
         edges = np.concatenate([np.linspace(a, b, 9), [a - 1.0, b + 1.0,
                                                        a - 1e-3, b + 1e-3]])
@@ -763,7 +762,7 @@ class TestDerivativeWork:
 
         x3 = x.reshape(x.shape[0] * x.shape[1], 1, -1)
         table = np.concatenate([T.silu_grad(x3),
-                                np.moveaxis(basis_deriv(x3[:, 0], spec), -1, 1)],
+                                np.moveaxis(basis(x3[:, 0], spec)[1], -1, 1)],
                                axis=1)
         want = (demap.reshape(table.shape) * table).sum(axis=1)
         assert got.tobytes() == want.reshape(x.shape).tobytes()

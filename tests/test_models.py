@@ -197,12 +197,6 @@ class TestModelGraph:
                                Linear(4, 4, rng=rng, name="fc")],
                        input_shape=(4,), n_outputs=4)
 
-    def test_layer_shapes_thread(self):
-        m = build_lenet()
-        rows = {name: (si, so) for name, si, so in m.layer_shapes()}
-        assert rows["conv1"] == ((1, 28, 28), (6, 28, 28))
-        assert rows["fc3"] == ((84,), (10,))
-
     def test_state_roundtrip_and_mismatch(self):
         a = build_lenet_kan_full(spec=rbf_spec(2), seed=3)
         b = build_lenet_kan_full(spec=rbf_spec(2), seed=4)
@@ -218,6 +212,36 @@ class TestModelGraph:
         state = build_lenet(seed=3, dtype=np.float64).state_dict()
         with pytest.raises(ConsistencyError, match="float64"):
             build_lenet(seed=4).load_state(state)
+
+    def test_load_into_a_fresh_model_draws_nothing(self, monkeypatch):
+        state = build_lenet_kan_full(spec=rbf_spec(2), seed=3).state_dict()
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: calls.append(a) or real(*a))
+        fresh = build_lenet_kan_full(spec=rbf_spec(2), seed=4)
+        fresh.load_state(state)
+        got = fresh.state_dict()
+        assert fresh.layers and calls == []
+        assert got.keys() == state.keys()
+        for name, arr in state.items():
+            assert got[name].dtype == arr.dtype
+            assert got[name].tobytes() == arr.tobytes()
+
+    def test_failed_load_changes_nothing(self):
+        # a fresh model stays undrawn, so it still draws its seed's init;
+        # a drawn one keeps every value, the entries before the bad one too
+        bad = build_lenet(seed=3).state_dict()
+        bad["fc3.bias"] = bad["fc3.bias"].astype(np.float64)
+        fresh, drawn = build_lenet(seed=4), build_lenet(seed=5)
+        before = drawn.state_dict()
+        for model in (fresh, drawn):
+            with pytest.raises(ConsistencyError, match="fc3.bias"):
+                model.load_state(bad)
+        for model, want in ((fresh, build_lenet(seed=4).state_dict()),
+                            (drawn, before)):
+            got = model.state_dict()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
     def test_state_dict_includes_channel_masks(self):
         m = build_lenet_kan_full(spec=rbf_spec(2), seed=3)

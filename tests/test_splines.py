@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from ckanbench.errors import ConfigError
 from ckanbench.splines import (BasisFamily, SplineSpec, basis_and_deriv_block,
-                               basis_block, basis_deriv, basis_eval,
-                               bspline_spec, make_knots, rbf_bandwidth,
+                               basis_block, bspline_spec, rbf_bandwidth,
                                rbf_centers, rbf_spec)
+from support import basis
 
 
 class TestSpecValidation:
@@ -40,21 +40,6 @@ class TestSpecValidation:
 
 
 class TestKnotsAndCenters:
-    def test_knot_vector_example(self):
-        knots = make_knots(bspline_spec(2, 1, (0.0, 1.0)))
-        np.testing.assert_allclose(knots, [-0.5, 0.0, 0.5, 1.0, 1.5])
-
-    def test_knot_vector_shape_and_ends(self):
-        spec = bspline_spec(5, 3)
-        knots = make_knots(spec)
-        assert knots.shape == (5 + 2 * 3 + 1,)
-        assert knots[3] == -1.0 and knots[5 + 3] == 1.0
-        np.testing.assert_allclose(np.diff(knots), 2.0 / 5)
-
-    def test_knots_reject_rbf(self):
-        with pytest.raises(ConfigError):
-            make_knots(rbf_spec(4))
-
     def test_rbf_centers_and_bandwidth(self):
         spec = rbf_spec(3)
         np.testing.assert_allclose(rbf_centers(spec), [-2.0, 0.0, 2.0])
@@ -66,24 +51,24 @@ class TestKnotsAndCenters:
 
 class TestClosedForms:
     def test_rbf_at_zero(self):
-        vals = basis_eval(0.0, rbf_spec(3))
+        vals = basis(0.0, rbf_spec(3))[0]
         np.testing.assert_allclose(vals, [np.exp(-1.0), 1.0, np.exp(-1.0)],
                                    rtol=1e-15)
 
     def test_degree_zero_is_interval_indicator(self):
         spec = bspline_spec(4, 0, (0.0, 1.0))
-        np.testing.assert_array_equal(basis_eval(0.1, spec), [1, 0, 0, 0])
-        np.testing.assert_array_equal(basis_eval(0.30, spec), [0, 1, 0, 0])
-        np.testing.assert_array_equal(basis_eval(0.25, spec), [0, 1, 0, 0])
-        np.testing.assert_array_equal(basis_eval(1.0, spec), [0, 0, 0, 1])
+        np.testing.assert_array_equal(basis(0.1, spec)[0], [1, 0, 0, 0])
+        np.testing.assert_array_equal(basis(0.30, spec)[0], [0, 1, 0, 0])
+        np.testing.assert_array_equal(basis(0.25, spec)[0], [0, 1, 0, 0])
+        np.testing.assert_array_equal(basis(1.0, spec)[0], [0, 0, 0, 1])
 
     def test_linear_bspline_hat_functions(self):
         # degree 1, G=2 on [0,1]: hats at -0.5, 0, 0.5, 1 restricted to [0,1]
         spec = bspline_spec(2, 1, (0.0, 1.0))
-        np.testing.assert_allclose(basis_eval(0.0, spec), [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(basis_eval(0.25, spec), [0.5, 0.5, 0.0])
-        np.testing.assert_allclose(basis_eval(0.5, spec), [0.0, 1.0, 0.0])
-        np.testing.assert_allclose(basis_eval(1.0, spec), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(basis(0.0, spec)[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(basis(0.25, spec)[0], [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(basis(0.5, spec)[0], [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(basis(1.0, spec)[0], [0.0, 0.0, 1.0])
 
 
 class TestAgainstScalarOracle:
@@ -102,7 +87,7 @@ class TestAgainstScalarOracle:
             rng.uniform(domain[0] - 1, domain[1] + 1, 40),
             np.array([domain[0], domain[1], 0.0]),
         ])
-        got = basis_eval(xs, spec)
+        got = basis(xs, spec)[0]
         for i, x in enumerate(xs):
             want = oracles.basis_all_scalar(float(x), family, grid, degree, domain)
             np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12)
@@ -110,16 +95,16 @@ class TestAgainstScalarOracle:
     def test_scalar_and_array_agree(self):
         spec = bspline_spec(5, 3)
         xs = np.linspace(-1.2, 1.2, 9)
-        arr = basis_eval(xs, spec)
+        arr = basis(xs, spec)[0]
         for i, x in enumerate(xs):
-            np.testing.assert_array_equal(basis_eval(float(x), spec), arr[i])
+            np.testing.assert_array_equal(basis(float(x), spec)[0], arr[i])
 
     def test_output_shape_rule(self, rng):
         spec = rbf_spec(4)
         x = rng.standard_normal((3, 5))
-        assert basis_eval(x, spec).shape == (3, 5, 4)
-        assert basis_eval(1.0, spec).shape == (4,)
-        assert basis_deriv(x, spec).shape == (3, 5, 4)
+        assert basis(x, spec)[0].shape == (3, 5, 4)
+        assert basis(1.0, spec)[0].shape == (4,)
+        assert basis(x, spec)[1].shape == (3, 5, 4)
 
 
 class TestInvariants:
@@ -128,7 +113,7 @@ class TestInvariants:
            x=st.floats(-5, 5, allow_nan=False))
     def test_partition_of_unity_bspline(self, g, k, x):
         spec = bspline_spec(g, k)
-        total = basis_eval(x, spec).sum()
+        total = basis(x, spec)[0].sum()
         assert abs(total - 1.0) < 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -136,14 +121,14 @@ class TestInvariants:
            x=st.floats(-5, 5, allow_nan=False))
     def test_values_in_unit_interval(self, g, k, x):
         for spec in (bspline_spec(g, k), rbf_spec(g)):
-            vals = basis_eval(x, spec)
+            vals = basis(x, spec)[0]
             assert (vals >= -1e-12).all() and (vals <= 1.0 + 1e-12).all()
 
     def test_clamping_freezes_value_outside_domain(self):
         for spec in (bspline_spec(5, 3), rbf_spec(4)):
             a, b = spec.domain
-            left = basis_eval(np.array([a, a - 1.0, a - 100.0]), spec)
-            right = basis_eval(np.array([b, b + 1.0, b + 100.0]), spec)
+            left = basis(np.array([a, a - 1.0, a - 100.0]), spec)[0]
+            right = basis(np.array([b, b + 1.0, b + 100.0]), spec)[0]
             np.testing.assert_array_equal(left[0], left[1])
             np.testing.assert_array_equal(left[0], left[2])
             np.testing.assert_array_equal(right[0], right[1])
@@ -152,15 +137,15 @@ class TestInvariants:
     def test_derivative_zero_in_clamped_region(self):
         for spec in (bspline_spec(5, 3), rbf_spec(4)):
             a, b = spec.domain
-            d = basis_deriv(np.array([a - 0.5, b + 0.5, a - 10.0]), spec)
+            d = basis(np.array([a - 0.5, b + 0.5, a - 10.0]), spec)[1]
             np.testing.assert_array_equal(d, np.zeros_like(d))
 
     def test_local_support_bspline(self):
         # basis i of degree K covers knots [t_i, t_{i+K+1}]
         spec = bspline_spec(8, 3)
-        knots = make_knots(spec)
+        knots = _knots(spec)
         xs = np.linspace(-1, 1, 201)
-        vals = basis_eval(xs, spec)
+        vals = basis(xs, spec)[0]
         for i in range(spec.basis_count):
             lo, hi = knots[i], knots[i + spec.degree + 1]
             outside = (xs < lo - 1e-12) | (xs > hi + 1e-12)
@@ -177,26 +162,28 @@ class TestDerivatives:
         margin = 1e-3
         xs = rng.uniform(a + margin, b - margin, 50)
         eps = 1e-7
-        fd = (basis_eval(xs + eps, spec) - basis_eval(xs - eps, spec)) / (2 * eps)
-        np.testing.assert_allclose(basis_deriv(xs, spec), fd,
+        fd = (basis(xs + eps, spec)[0] - basis(xs - eps, spec)[0]) / (2 * eps)
+        np.testing.assert_allclose(basis(xs, spec)[1], fd,
                                    rtol=1e-5, atol=1e-6)
 
     def test_degree_zero_derivative_is_zero(self):
         spec = bspline_spec(4, 0)
-        d = basis_deriv(np.linspace(-1, 1, 11), spec)
+        d = basis(np.linspace(-1, 1, 11), spec)[1]
         np.testing.assert_array_equal(d, np.zeros_like(d))
 
     def test_block_and_public_agree(self, rng):
+        """A [3, 2, 4] block gives each point what it gives alone."""
         for spec in (bspline_spec(4, 3), rbf_spec(5)):
             x3 = rng.standard_normal((3, 2, 4))
             val, der = basis_and_deriv_block(x3, spec)
-            for t in range(3):
-                for n in range(2):
-                    for p in range(4):
-                        np.testing.assert_array_equal(
-                            val[t, :, n, p], basis_eval(float(x3[t, n, p]), spec))
-                        np.testing.assert_array_equal(
-                            der[t, :, n, p], basis_deriv(float(x3[t, n, p]), spec))
+            for t, n, p in np.ndindex(*x3.shape):
+                v, d = basis(float(x3[t, n, p]), spec)
+                np.testing.assert_array_equal(val[t, :, n, p], v)
+                np.testing.assert_array_equal(der[t, :, n, p], d)
+
+
+def _knots(spec):
+    return np.array(oracles.bspline_knots(spec.grid_size, spec.degree, spec.domain))
 
 
 def _oracle_rows(xs, spec):
@@ -209,7 +196,7 @@ def _oracle_rows(xs, spec):
 def _edge_points(spec):
     """Every knot, both domain ends and a point one beyond each end."""
     a, b = spec.domain
-    return np.concatenate([make_knots(spec), [a, b, a - 1.0, b + 1.0]])
+    return np.concatenate([_knots(spec), [a, b, a - 1.0, b + 1.0]])
 
 
 class TestEdges:
@@ -250,21 +237,21 @@ class TestEdges:
         spec = bspline_spec(g, k)
         # Degree 0 jumps at each knot, and within rounding of one (x - a) / h
         # may fall on either side.  The exact-knot cases above pin it there.
-        assume(k > 0 or np.abs(make_knots(spec) - x).min() > 1e-9)
-        np.testing.assert_allclose(basis_eval(x, spec), _oracle_rows([x], spec)[0],
+        assume(k > 0 or np.abs(_knots(spec) - x).min() > 1e-9)
+        np.testing.assert_allclose(basis(x, spec)[0], _oracle_rows([x], spec)[0],
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spec", EXACT + K_ABOVE_G[1:])
     def test_derivative_matches_central_differences_off_knots(self, spec):
-        knots = make_knots(spec)
+        knots = _knots(spec)
         a, b = spec.domain
         h = (b - a) / spec.grid_size
         inner = knots[spec.degree:spec.degree + spec.grid_size]
         xs = (inner[:, None] + h * np.array([0.1, 0.37, 0.5, 0.83])).ravel()
         eps = 1e-7
-        fd = (basis_eval(xs + eps, spec) - basis_eval(xs - eps, spec)) / (2 * eps)
-        np.testing.assert_allclose(basis_deriv(xs, spec), fd, rtol=1e-6, atol=1e-6)
-        outside = basis_deriv(np.array([a - 1.0, b + 1.0]), spec)
+        fd = (basis(xs + eps, spec)[0] - basis(xs - eps, spec)[0]) / (2 * eps)
+        np.testing.assert_allclose(basis(xs, spec)[1], fd, rtol=1e-6, atol=1e-6)
+        outside = basis(np.array([a - 1.0, b + 1.0]), spec)[1]
         np.testing.assert_array_equal(outside, np.zeros_like(outside))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ckanbench.data import Dataset, synthetic_blobs
+from ckanbench.data import Dataset
 from ckanbench.errors import ConfigError, DimensionError
 from ckanbench.layers import Activation, Linear
 from ckanbench.models import ModelGraph, build_lenet_kan
@@ -15,6 +15,7 @@ from ckanbench.splines import bspline_spec
 from ckanbench.training import (AdamConfig, AdamState, EarlyStopper,
                                 adam_init, adam_step, bce_multilabel,
                                 evaluate_model, fit, softmax_cross_entropy)
+from support import blobs
 
 
 def tiny_classifier(n_features, n_classes, seed=0, hidden=16,
@@ -167,7 +168,7 @@ class TestEarlyStopper:
 class TestFit:
     def _blob_data(self, seed=0):
         from ckanbench.data import split_dataset
-        ds = synthetic_blobs(352, classes=3, dim=8, seed=seed)
+        ds = blobs(352, classes=3, dim=8, seed=seed)
         return split_dataset(ds, val_fraction=0.25, seed=seed)
 
     def test_deterministic_given_seed(self):
