@@ -1,8 +1,9 @@
 """Checkpoint format: a text manifest plus one flat binary blob.
 
 ``manifest.txt`` lists every stored array as ``name shape dtype`` in
-order; ``params.bin`` is the concatenation of the arrays' raw
-little-endian bytes in exactly that order.  Round trips are bit-exact.
+order, the dtype a boolean, integer, float or complex one; ``params.bin``
+is the concatenation of the arrays' raw little-endian bytes in exactly
+that order.  Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def read_state(dir_path: str) -> dict[str, np.ndarray]:
                 dtype = np.dtype(dtype_tok)
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{manifest}:{lineno}: {exc}") from None
+            if dtype.kind not in "biufc":
+                raise FormatError(
+                    f"{manifest}:{lineno}: {dtype_tok} is not a numeric dtype")
             if name in entries:
                 raise FormatError(f"{manifest}:{lineno}: duplicate name {name!r}")
             if min(shape) < 0:

@@ -46,25 +46,27 @@ spends s*s times the multiply-adds it needs; no stock model asks a
 strided layer for one.  Backward rebuilds each block from the cached
 map.
 
-A call of at least ``SPLIT_MACS`` multiply-adds (N * w2.size * Ho * Wo)
-splits its batch in two halves at the block boundary nearest N / 2, and
-its spline map and map gradient split with it.  The calling thread runs
-the first half while one helper thread runs the second, each with its own
-block buffers and weight- and bias-gradient sums, and the second half's
-sums are added to the first's.  The data alone fix the halves, so one
-Python thread running both halves in turn gives the same bytes as two:
-outputs and input gradients are those of the unsplit call, and the
-parameter gradients differ from it only in rounding.  The bytes do
-depend on the BLAS thread count.  A split call holds OpenBLAS to one
-thread, and restores the count it found when it returns or, within a
+A convolution call of at least ``SPLIT_MACS`` multiply-adds
+(N * w2.size * Ho * Wo, over the folded kernel) splits its batch in two
+halves at the block boundary nearest N / 2; a linear layer never splits.
+The calling thread runs the first half's whole pass (map and
+convolution in forward, convolution backward and map gradient in
+backward) while one helper thread runs the second's, each with its own
+map, block buffers and weight- and bias-gradient sums.  The second
+half's sums are added to the first's, and the halves' input gradients
+are joined.  The data alone fix the halves, so one Python thread
+running both halves in turn gives the same bytes as two: outputs and
+input gradients are those of the unsplit call, and the parameter
+gradients differ from it only in rounding.  The bytes do depend on the
+BLAS thread count.  A split call holds OpenBLAS to one thread, and
+restores the count it found when it returns or, within a
 ``split_scope``, when the scope exits.  A model's forward is one scope;
 its backward is another, held to one thread from its start where its
 forward split a call.  The first split also holds glibc malloc to one
-arena, process-wide.  Only a
-process on exactly 2 cores splits, the only core count measured, and
-only where OpenBLAS has a thread-count getter and setter.  ``one_thread``
-keeps a process that shares the cores, a sweep worker, on one Python and
-one BLAS thread for good.
+arena, process-wide.  Only a process on exactly 2 cores splits, the
+only core count measured, and only where OpenBLAS has a thread-count
+getter and setter.  ``one_thread`` keeps a process that shares the
+cores, a sweep worker, on one Python and one BLAS thread for good.
 
 The 1-D layers ``Conv1D``, ``KanConv1D`` and ``MaxPool1D`` are their
 2-D classes with a (1, k) kernel or window, run on the height-1 map
@@ -346,9 +348,8 @@ class _Weighted(Layer):
         self.bias = np.zeros(self.edge_shape[0], dtype=self.dtype)
         super().init_params(rng)
 
-    def _map(self, x, training, halves=None):
-        """The map the kernel is applied to, computed per half of a split
-        call's ``halves``, and what ``_map_grad`` needs."""
+    def _map(self, x, training):
+        """The map the kernel is applied to, and what ``_map_grad`` needs."""
         return x, None
 
     def _map_grad(self, dmap, aux):
@@ -357,9 +358,6 @@ class _Weighted(Layer):
     def _kernel(self):
         """Weight [O, K] over the map, and bias [O]."""
         return self.weight.reshape(self.edge_shape[0], -1), self.bias
-
-    # entries of the weight [O, K] that ``_kernel`` folds
-    _kernel_size = property(lambda self: math.prod(self.edge_shape))
 
     def _add_grads(self, gw, gb) -> None:
         self.grad["weight"] += gw.reshape(self.weight.shape)
@@ -394,8 +392,7 @@ class Linear(_Weighted):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise DimensionError(f"{self.name or type(self).__name__}: "
                                  f"expected [N,{self.in_features}], got {x.shape}")
-        n = x.shape[0]
-        xmap, aux = self._map(x, training, _split(n, n * self._kernel_size, 1))
+        xmap, aux = self._map(x, training)
         w2, bias = self._kernel()
         if training:
             self._cache = (xmap, aux, w2)
@@ -520,11 +517,10 @@ def _row_step(o, ho, wo, dtype):
     return max(1, BLOCK_BYTES // (o * per * dtype.itemsize), -(-o // per))
 
 
-# Multiply-adds of one call, N * w2.size * Ho * Wo (Ho = Wo = 1 for a
-# linear layer), from which it and its spline map run as two halves of the
-# batch on two threads.  At 2^27 a b128 LeNet-KAN conv2 split, gained
-# nothing and held 4-7% more memory; at 2^28 only the b512 LeNet-KAN
-# convolutions split.
+# Multiply-adds of one convolution call, N * w2.size * Ho * Wo, from
+# which it and its spline map run as two halves of the batch on two
+# threads.  At 2^27 a b128 LeNet-KAN conv2 split, gained nothing and held
+# 4-7% more memory; at 2^28 only the b512 LeNet-KAN convolutions split.
 SPLIT_MACS = 1 << 28
 
 # pid -> that process's helper thread, a one-worker executor, or None
@@ -655,17 +651,17 @@ def split_scope(hold=False):
             _SCOPE["threads"] = None
 
 
-def _each_half(fn, n, halves):
-    """The results of fn(start, stop) over the sample ranges ``halves``,
-    or [fn(0, n)] for None.  The calling thread runs the first half while
-    the helper runs the second, with OpenBLAS held to one thread, so that
-    two Python threads run two BLAS threads, not four; an exception in
-    either half is raised once both have returned."""
-    if halves is None:
-        return [fn(0, n)]
+def _each_half(fn, halves):
+    """The results of fn(*args) for each argument tuple of ``halves``, one
+    or two.  Of two, the calling thread runs the first while the helper
+    runs the second, with OpenBLAS held to one thread, so that two Python
+    threads run two BLAS threads, not four; an exception in either half is
+    raised once both have returned."""
+    if len(halves) == 1:
+        return [fn(*halves[0])]
     helper = _helper()
     if helper is None:
-        return [fn(*half) for half in halves]
+        return [fn(*args) for args in halves]
     with split_scope(hold=True):
         second = helper.submit(fn, *halves[1])
         try:
@@ -675,47 +671,42 @@ def _each_half(fn, n, halves):
     return [first, second.result()]
 
 
-def _conv_forward(xp, w2, bias, kh, kw, stride, halves):
+def _conv_forward(xp, w2, bias, kh, kw, stride, out):
     """Valid convolution of the padded input ``xp`` [N, C, H, W] with the
-    weight ``w2`` [O, C*kh*kw] into the [N, O, Ho, Wo] output: row GEMMs
-    over each stacked block of samples, per half of ``halves``."""
-    n, c, h, w = xp.shape
-    o = w2.shape[0]
-    ho, wo = T.conv_output_hw(h, w, kh, kw, stride, 0)
-    dtype = np.result_type(xp, w2)
-    out = np.empty((n, o, ho, wo), dtype=dtype)
+    weight ``w2`` [O, C*kh*kw], written into ``out`` [N, O, Ho, Wo]: row
+    GEMMs over each stacked block of samples."""
+    n, c = xp.shape[:2]
+    o, ho, wo = out.shape[1:]
+    dtype = out.dtype
     step = _row_step(o, ho, wo, dtype)
     rows = _kernel_rows(w2.reshape(o, c, kh, kw), dtype)
-
-    def run(s0, e0):
-        bufs = np.empty((2, o * ho * min(step, e0 - s0) * wo), dtype=dtype)
-        for s, e, stack, starts in _row_blocks(xp[s0:e0], kh, kw, stride, step,
-                                               dtype):
-            ob = _row_conv(rows, stack, starts, ho * (e - s) * wo, bufs)
-            ob += bias[:, None]
-            out[s0 + s:s0 + e] = ob.reshape(o, ho, e - s, wo).transpose(2, 0, 1, 3)
-
-    _each_half(run, n, halves)
-    return out
+    bufs = np.empty((2, o * ho * min(step, n) * wo), dtype=dtype)
+    for s, e, stack, starts in _row_blocks(xp, kh, kw, stride, step, dtype):
+        ob = _row_conv(rows, stack, starts, ho * (e - s) * wo, bufs)
+        ob += bias[:, None]
+        out[s:e] = ob.reshape(o, ho, e - s, wo).transpose(2, 0, 1, 3)
 
 
-def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad, halves):
+def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad):
     """Backward of ``_conv_forward`` from its output gradient ``dout``:
     returns the weight gradient [O, C*kh*kw], the bias gradient [O] and,
     with ``input_grad``, the gradient of ``xp`` (else None), whose
     ``pads`` border, the input's zero padding, is left 0.  Each block
     restacks ``xp`` and lays its output gradient G out [O, Ho*nb*Wo];
     kernel row ki adds its stack slice times G^T, [C*kw, O], to the weight
-    gradient, and G's row sums add to the bias gradient.  Each half of
-    ``halves`` sums its own, and the second half's are added to the
-    first's.  The input gradient is the stride-1 row GEMMs, with the
-    kernel flipped and its channel axes swapped, over G written at every
-    ``stride``-th position of a zero border [nb, O, H + kh - 1, W + kw - 1],
-    over the window whose outputs are the unpadded positions."""
+    gradient, and G's row sums add to the bias gradient.  The input
+    gradient is the stride-1 row GEMMs, with the kernel flipped and its
+    channel axes swapped, over G written at every ``stride``-th position
+    of a zero border [nb, O, H + kh - 1, W + kw - 1], over the window
+    whose outputs are the unpadded positions."""
     n, c, h, w = xp.shape
     o, ho, wo = dout.shape[1:]
     dtype = np.result_type(dout, xp, w2)
     step = _row_step(o, ho, wo, dtype)
+    nb = min(step, n)
+    gw = np.zeros((kh, c * kw, o), dtype=dtype)
+    gb = np.zeros(o, dtype=dtype)
+    gbuf = np.empty(o * ho * nb * wo, dtype=dtype)
     dxp = None
     if input_grad:
         (ph, pw), hi, wi = pads, h - 2 * pads[0], w - 2 * pads[1]
@@ -723,43 +714,28 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad, halves):
                             .transpose(1, 0, 2, 3), dtype)
         dxp = (np.zeros if ph or pw else np.empty)(xp.shape, dtype=dtype)
         inner = dxp[:, :, ph:ph + hi, pw:pw + wi]
-
-    def run(s0, e0):
-        nb = min(step, e0 - s0)
-        gw = np.zeros((kh, c * kw, o), dtype=dtype)
-        gb = np.zeros(o, dtype=dtype)
-        gbuf = np.empty(o * ho * nb * wo, dtype=dtype)
+        # sample-major, so every block's prefix keeps the zero border
+        bordered = np.zeros((nb, o, h + kh - 1, w + kw - 1), dtype=dtype)
+        spread = bordered[:, :, kh - 1:kh + stride * (ho - 1):stride,
+                          kw - 1:kw + stride * (wo - 1):stride]
+        window = bordered[:, :, ph:ph + hi + kh - 1, pw:pw + wi + kw - 1]
+        dstack = np.empty(math.prod(_stack_shape(window.shape, kh, kw, 1, nb)),
+                          dtype=dtype)
+        bufs = np.empty((2, c * hi * nb * wi), dtype=dtype)
+    for s, e, stack, starts in _row_blocks(xp, kh, kw, stride, step, dtype):
+        b = e - s
+        m = ho * b * wo
+        g = gbuf[:o * m].reshape(o, ho, b, wo)
+        g[...] = dout[s:e].transpose(1, 2, 0, 3)
+        g = g.reshape(o, m)
+        for ki, start in enumerate(starts):
+            gw[ki] += stack[:, start:start + m] @ g.T
+        gb += g.sum(axis=1)
         if input_grad:
-            # sample-major, so every block's prefix keeps the zero border
-            bordered = np.zeros((nb, o, h + kh - 1, w + kw - 1), dtype=dtype)
-            spread = bordered[:, :, kh - 1:kh + stride * (ho - 1):stride,
-                              kw - 1:kw + stride * (wo - 1):stride]
-            window = bordered[:, :, ph:ph + hi + kh - 1, pw:pw + wi + kw - 1]
-            dstack = np.empty(math.prod(_stack_shape(window.shape, kh, kw, 1, nb)),
-                              dtype=dtype)
-            bufs = np.empty((2, c * hi * nb * wi), dtype=dtype)
-        for s, e, stack, starts in _row_blocks(xp[s0:e0], kh, kw, stride, step,
-                                               dtype):
-            s, e = s0 + s, s0 + e
-            b = e - s
-            m = ho * b * wo
-            g = gbuf[:o * m].reshape(o, ho, b, wo)
-            g[...] = dout[s:e].transpose(1, 2, 0, 3)
-            g = g.reshape(o, m)
-            for ki, start in enumerate(starts):
-                gw[ki] += stack[:, start:start + m] @ g.T
-            gb += g.sum(axis=1)
-            if input_grad:
-                spread[:b] = dout[s:e]
-                dx = _row_conv(adjoint, *_row_stack(window[:b], kh, kw, 1, dstack),
-                               hi * b * wi, bufs)
-                inner[s:e] = dx.reshape(c, hi, b, wi).transpose(2, 0, 1, 3)
-        return gw, gb
-
-    (gw, gb), *rest = _each_half(run, n, halves)
-    for part_w, part_b in rest:
-        gw += part_w
-        gb += part_b
+            spread[:b] = dout[s:e]
+            dx = _row_conv(adjoint, *_row_stack(window[:b], kh, kw, 1, dstack),
+                           hi * b * wi, bufs)
+            inner[s:e] = dx.reshape(c, hi, b, wi).transpose(2, 0, 1, 3)
     # [kh, C, kw, O] -> [O, C, kh, kw] one input channel at a time: a single
     # transposing copy of a large gradient misses cache on every element
     gw4, gw = gw.reshape(kh, c, kw, o), np.empty((o, c, kh, kw), dtype=dtype)
@@ -770,8 +746,10 @@ def _conv_backward(dout, xp, w2, kh, kw, stride, pads, input_grad, halves):
 
 class Conv2D(_Weighted):
     """Convolution: the forward checks the channels, zero-pads the input,
-    maps it and convolves the map with the kernel; the backward runs that
-    convolution's backward and crops the padding from the input
+    folds the kernel, then maps each half of the batch (the whole batch
+    unless the call splits) and convolves that map with the kernel; the
+    backward runs each half's convolution backward and map gradient, sums
+    the halves' parameter gradients and crops the padding from the input
     gradient."""
 
     def __init__(self, in_ch: int, out_ch: int, kh: int, kw: int = None,
@@ -800,24 +778,39 @@ class Conv2D(_Weighted):
         xp = _pad_input(x, self.kh, self.kw, self.stride, self._pads)
         n, _, h, w = xp.shape
         ho, wo = T.conv_output_hw(h, w, self.kh, self.kw, self.stride, 0)
-        halves = _split(n, n * self._kernel_size * ho * wo,
-                        _row_step(self.out_ch, ho, wo, np.result_type(xp, self.dtype)))
-        xmap, aux = self._map(xp, training, halves)
         w2, bias = self._kernel()
-        out = _conv_forward(xmap, w2, bias, self.kh, self.kw, self.stride, halves)
+        out = np.empty((n, self.out_ch, ho, wo), dtype=np.result_type(xp, w2))
+        halves = _split(n, n * w2.size * ho * wo,
+                        _row_step(self.out_ch, ho, wo, out.dtype)) or ((0, n),)
+
+        def run(s, e):
+            xmap, aux = self._map(xp[s:e], training)
+            _conv_forward(xmap, w2, bias, self.kh, self.kw, self.stride, out[s:e])
+            return s, e, xmap, aux
+
+        parts = _each_half(run, halves)
         if training:
-            self._cache = (xmap, aux, w2, halves)
+            self._cache = (parts, w2)
         return out
 
     def backward(self, dout, input_grad=True):
-        xmap, aux, w2, halves = self._need_cache(self._cache)
-        gw, gb, dmap = _conv_backward(dout, xmap, w2, self.kh, self.kw,
-                                      self.stride, self._pads, input_grad,
-                                      halves)
+        parts, w2 = self._need_cache(self._cache)
+
+        def run(s, e, xmap, aux):
+            gw, gb, dmap = _conv_backward(dout[s:e], xmap, w2, self.kh, self.kw,
+                                          self.stride, self._pads, input_grad)
+            return gw, gb, dmap if dmap is None else self._map_grad(dmap, aux)
+
+        (gw, gb, dx), *rest = _each_half(run, parts)
+        for part_w, part_b, _ in rest:
+            gw += part_w
+            gb += part_b
         self._add_grads(gw, gb)
-        if dmap is None:
+        if dx is None:
             return None
-        return _crop(self._map_grad(dmap, aux), self._pads)
+        if rest:
+            dx = np.concatenate([dx] + [part_dx for *_, part_dx in rest])
+        return _crop(dx, self._pads)
 
     # zero padding (height, width) on both sides of each axis
     _pads = property(lambda self: (self.pad, self.pad))
@@ -868,56 +861,37 @@ class _SplineEdges:
         # the edges replace the classical weight draw, so skip past it
         Layer.init_params(self, rng)
 
-    def _map(self, x, training, halves=None):
+    def _map(self, x, training):
         """Per-pixel expansion of [N, C, ...] into the [N, C*(B+1), ...]
         map whose channel c*(B+1) + m holds act(x_c) for m = 0 and
-        basis_m(x_c) after it, written into one [N*C, B+1, pixels] table,
-        per half of ``halves``.  In training ``_map_grad`` gets the input,
-        the table, for SiLU the sigmoid it shares with its derivative, and
-        the halves."""
+        basis_m(x_c) after it, written into one [N*C, B+1, pixels] table.
+        In training ``_map_grad`` gets the input, the table, and for SiLU
+        the sigmoid it shares with its derivative."""
         n, c = x.shape[:2]
         x3 = x.reshape(n * c, 1, -1)
         emap = np.empty((n * c, self.spec.basis_count + 1, x3.shape[2]), dtype=x3.dtype)
         silu = self.base_act == "silu"
+        # allocated before the basis' temporaries, which keeps a b128
+        # LeNet-KAN training step's peak RSS about 1 MiB lower
         sig = np.empty_like(x3) if silu and training else None
-
-        def run(s, e):
-            rows = slice(s * c, e * c)
-            xr, er = x3[rows], emap[rows]
-            _basis_into(xr, self.spec, er[:, 1:, None])
-            if silu:
-                kept = None if sig is None else sig[rows]
-                np.multiply(xr, T.sigmoid(xr, out=kept), out=er[:, :1])
-            else:
-                er[:, :1] = self.act_fn(xr)
-
-        _each_half(run, n, halves)
-        aux = (x3, emap, sig, halves) if training else None
+        _basis_into(x3, self.spec, emap[:, 1:, None])
+        if silu:
+            np.multiply(x3, T.sigmoid(x3, out=sig), out=emap[:, :1])
+        else:
+            emap[:, :1] = self.act_fn(x3)
+        aux = (x3, emap, sig) if training else None
         return emap.reshape((n, -1) + x.shape[2:]), aux
 
     def _map_grad(self, demap, aux):
         """de[:, 0] * act'(x) + sum_m de[:, m] * basis_m'(x), the map
         gradient ``demap`` multiplied in place and summed over the map's
-        B + 1 slots, per half of the map's ``halves``."""
-        x3, emap, sig, halves = aux
-        n = demap.shape[0]
-        c = x3.shape[0] // n
+        B + 1 slots."""
+        x3, emap, sig = aux
         de = demap.reshape(emap.shape)
-        dx = np.empty((x3.shape[0], x3.shape[2]), dtype=de.dtype)
-
-        def run(s, e):
-            rows = slice(s * c, e * c)
-            xr, dr = x3[rows], de[rows]
-            dr[:, :1] *= (T.silu_grad(xr, sig[rows]) if sig is not None
-                          else self.act_grad_fn(xr))
-            _basis_chain(xr, self.spec, emap[rows, 1:, None], dr[:, 1:, None])
-            dr.sum(axis=1, out=dx[rows])
-
-        _each_half(run, n, halves)
-        return dx.reshape((n, -1) + demap.shape[2:])
-
-    _kernel_size = property(lambda self: (math.prod(self.edge_shape)
-                                          * (self.spec.basis_count + 1)))
+        de[:, :1] *= (T.silu_grad(x3, sig) if sig is not None
+                      else self.act_grad_fn(x3))
+        _basis_chain(x3, self.spec, emap[:, 1:, None], de[:, 1:, None])
+        return de.sum(axis=1).reshape((demap.shape[0], -1) + demap.shape[2:])
 
     def _kernel(self):
         """Weight [O, C*(B+1)*taps] of the classical layer over the
@@ -1023,7 +997,7 @@ class KanConv1D(_Length1D, KanConv2D):
 
 class MaxPool1D(_Length1D, MaxPool2D):
     def __init__(self, window=2, stride=None, name: str = ""):
-        super().__init__((1, window), stride=stride if stride else window,
+        super().__init__((1, window), stride=window if stride is None else stride,
                          name=name)
 
 

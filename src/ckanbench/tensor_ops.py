@@ -35,14 +35,12 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int,
 
 
 def im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int = 1,
-                 pad: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+                 pad: int = 0) -> np.ndarray:
     """Gather conv receptive fields from [N,C,H,W] into [C*kh*kw, N, Ho*Wo].
 
     Row index runs over (c, ki, kj) in row-major order; the last axis runs
     over output positions in row-major (i, j) order.  Zero padding is
-    materialised, so padded taps read exactly 0.  ``out``, a C-contiguous
-    array of the result's shape, receives the columns in place of a new
-    array (reusing one buffer spares the page faults of a fresh one).
+    materialised, so padded taps read exactly 0.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -60,14 +58,7 @@ def im2col_batch(x: np.ndarray, kh: int, kw: int, stride: int = 1,
         strides=(sc, sh, sw, sn, stride * sh, stride * sw),
         writeable=False,
     )
-    if out is None:
-        return win.reshape(c * kh * kw, n, ho * wo)
-    if out.shape != (c * kh * kw, n, ho * wo) or not out.flags.c_contiguous:
-        raise DimensionError(
-            f"im2col_batch out must be C-contiguous {(c * kh * kw, n, ho * wo)}, "
-            f"got {out.shape}")
-    np.copyto(out.reshape(win.shape), win)
-    return out
+    return win.reshape(c * kh * kw, n, ho * wo)
 
 
 def col2im_batch(cols: np.ndarray, input_shape: tuple[int, int, int, int],

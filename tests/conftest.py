@@ -48,9 +48,11 @@ def rng():
 
 @pytest.fixture()
 def forced_split(monkeypatch):
-    """Every layer call of two or more sample blocks splits into halves
-    of the batch, on any core count.  Skips where OpenBLAS cannot be held
-    to one thread, since the layers split no call there."""
+    """Every convolution call of two or more sample blocks splits into
+    halves of the batch, on any core count, each half mapping and
+    convolving its own samples; linear layers still never split.  Skips
+    where OpenBLAS cannot be held to one thread, since the layers split no
+    call there."""
     import ckanbench.layers as layers_mod
 
     if layers_mod._blas_threads() is None:

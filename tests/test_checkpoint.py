@@ -71,6 +71,14 @@ class TestStoreValidation:
         with pytest.raises(FormatError):
             read_state(str(tmp_path))
 
+    @pytest.mark.parametrize("token", ["object", "U4", "S8", "V8", "M8[s]"])
+    def test_non_numeric_dtype_rejected(self, tmp_path, token):
+        save_state([("x", np.zeros(2, dtype=np.float32))], str(tmp_path))
+        (tmp_path / MANIFEST_NAME).write_text(f"x 2 {token}\n")
+        with pytest.raises(FormatError,
+                           match=f"{MANIFEST_NAME}:1: .* is not a numeric dtype"):
+            read_state(str(tmp_path))
+
     def test_duplicate_name(self, tmp_path):
         save_state([("x", np.zeros(2, dtype=np.float32)),
                     ("x", np.ones(2, dtype=np.float32))], str(tmp_path))

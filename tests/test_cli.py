@@ -309,6 +309,24 @@ class TestMalformedCheckpointConfig:
         assert capsys.readouterr().err.startswith(
             f"data error: {manifest}:1: negative dimension")
 
+    def test_object_manifest_dtype_is_a_data_error(self, tmp_path, capsys):
+        from ckanbench.checkpoint import MANIFEST_NAME, save_checkpoint
+        from ckanbench.models import build_lenet, model_config, save_model_config
+
+        model = build_lenet()
+        save_checkpoint(model, str(tmp_path))
+        save_model_config(tmp_path / "config.txt", model_config(model))
+        manifest = tmp_path / MANIFEST_NAME
+        lines = manifest.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].rsplit(" ", 1)[0] + " object\n"
+        manifest.write_text("".join(lines))
+        code = run_cli("profile", "--checkpoint", str(tmp_path),
+                       "--iters", "1", "--warmup", "0")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {manifest}:1: object is not a numeric dtype")
+
+
 class TestSweep:
     def _cfg_file(self, tmp_path):
         path = tmp_path / "sweep.cfg"

@@ -426,6 +426,12 @@ class TestShapesAndWrappers:
         assert out.shape == (2, 3, 4)
         np.testing.assert_array_equal(out, x.reshape(2, 3, 4, 2).max(-1))
 
+    def test_maxpool1d_stride_zero_raises_and_defaults_to_window(self):
+        with pytest.raises(ConfigError):
+            MaxPool1D(2, stride=0)
+        assert MaxPool1D(3).stride == 3
+        assert MaxPool1D(3, stride=1).stride == 1
+
     def test_global_avg_pool(self, rng):
         x = rng.standard_normal((2, 3, 8))
         lyr = GlobalAvgPool1D()
@@ -838,6 +844,21 @@ def _split_conv_on_two_threads():
         raise AssertionError(f"the split call ran on {len(threads)} threads")
 
 
+def _submit_spy(monkeypatch):
+    """The calls handed to this process's helper thread, one entry each."""
+    import ckanbench.layers as layers_mod
+
+    helper = layers_mod._helper()
+    calls, submit = [], helper.submit
+
+    def spy(fn, *args):
+        calls.append(args)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(helper, "submit", spy)
+    return calls
+
+
 class TestSplitHalves:
     """A large call splits its batch into two halves at a block boundary
     fixed by the data, so its bytes do not depend on the threads."""
@@ -858,17 +879,29 @@ class TestSplitHalves:
 
         assert layers_mod._halves(n, step) == want
 
+    def test_conv_pass_hands_the_helper_one_half(self, forced_split,
+                                                 monkeypatch, rng):
+        lyr = KanConv2D(2, 3, 3, pad=1, spec=rbf_spec(4), rng=rng)
+        x = rng.standard_normal((9, 2, 40, 40)).astype(np.float32)
+        calls = _submit_spy(monkeypatch)
+        out = lyr.forward(x)
+        forward = len(calls)
+        lyr.backward(np.ones_like(out))
+        # blocks of 6 samples: halves 6 + 3, the map and the convolution
+        # of each running on one thread
+        assert (forward, len(calls) - forward) == (1, 1)
+
     @pytest.mark.parametrize("make", [
-        lambda g: Linear(5, 4, rng=g),
-        lambda g: Conv2D(2, 3, 3, 2, rng=g),
-        lambda g: Conv1D(2, 3, 5, rng=g),
-        lambda g: KanConv2D(2, 3, 3, spec=bspline_spec(5, 3), rng=g),
-        lambda g: KanConv1D(2, 3, 3, spec=rbf_spec(4), rng=g),
+        lambda g: Linear(6, 4, rng=g),
         lambda g: KanLinear(6, 4, spec=rbf_spec(4), rng=g),
-    ], ids=["linear", "conv2d", "conv1d", "kanconv2d", "kanconv1d", "kanlinear"])
-    def test_gate_counts_the_folded_kernel(self, make, rng):
+    ], ids=["linear", "kanlinear"])
+    def test_linear_layers_never_split(self, make, forced_split, monkeypatch,
+                                       rng):
         lyr = make(rng)
-        assert lyr._kernel_size == lyr._kernel()[0].size
+        calls = _submit_spy(monkeypatch)
+        out = lyr.forward(rng.standard_normal((64, 6)).astype(np.float32))
+        lyr.backward(np.ones_like(out))
+        assert calls == []
 
     def test_gate_is_read_at_call_time(self, monkeypatch):
         import ckanbench.layers as layers_mod
@@ -907,7 +940,7 @@ class TestSplitHalves:
                 set_threads(want)
                 seen.clear()
                 with pytest.raises(ValueError):
-                    layers_mod._each_half(half, 4, ((0, 2), (2, 4)))
+                    layers_mod._each_half(half, ((0, 2), (2, 4)))
                 assert seen == [1, 1]
                 assert get_threads() == want
                 _split_conv_on_two_threads()
@@ -1012,7 +1045,7 @@ class TestSplitHalves:
             done.append(start)
 
         with pytest.raises(ValueError, match=f"half from {failing}"):
-            layers_mod._each_half(half, 4, ((0, 2), (2, 4)))
+            layers_mod._each_half(half, ((0, 2), (2, 4)))
         assert done == [2 - failing]
 
     def test_forked_child_starts_its_own_helper(self, forced_split):
