@@ -105,11 +105,10 @@ def cmd_train(args) -> int:
         model = _build_from_args(args.model, args)
     if args.subset:
         train = dio.subset_dataset(train, args.subset, args.seed)
-    stopper = (EarlyStopper(args.early_stop_tolerance)
-               if args.early_stop_tolerance > 0 else None)
     result = fit(model, train, val, epochs=args.epochs,
                  batch_size=args.batch, lr=args.lr,
-                 weight_decay=args.weight_decay, stopper=stopper,
+                 weight_decay=args.weight_decay,
+                 stopper=EarlyStopper(args.early_stop_tolerance),
                  seed=args.seed, verbose=True)
     report = result.report
     if report.status != "ok":

@@ -129,15 +129,21 @@ def _draw(rng, dist: str, args: tuple, shape, dtype) -> np.ndarray:
 class Layer:
     """Base protocol; stateless layers only override the pass methods.
 
+    ``__init__(name)`` sets ``name`` and an empty ``_cache``, where a
+    training forward keeps what backward reads through ``_need_cache()``.
+
     A parametric layer names its parameter attributes in ``param_names``
     and draws them in ``init_params(rng)``, which its constructor calls
     when given ``rng=``.  Until then it holds no weights, but its counts
     and output shapes already follow from its geometry.
     """
 
-    name: str = ""
     param_names: tuple[str, ...] = ()
     grad: dict | None = None    # gradient buffer per parameter, once drawn
+
+    def __init__(self, name: str = ""):
+        self.name = name
+        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -179,71 +185,58 @@ class Layer:
     def output_shape(self, in_shape: tuple) -> tuple:
         raise NotImplementedError
 
-    def _need_cache(self, cache):
-        if cache is None:
+    def _need_cache(self):
+        if self._cache is None:
             raise StateError(f"{type(self).__name__}: backward before forward")
-        return cache
+        return self._cache
 
 
 class Activation(Layer):
     def __init__(self, kind: str = "relu", name: str = ""):
+        super().__init__(name)
         self.kind = kind
         self.fn, self.grad_fn = _act_pair(kind)
-        self.name = name
-        self._x = None
 
     def forward(self, x, training=True):
         if training:
-            self._x = x
+            self._cache = x
         return self.fn(x)
 
     def backward(self, dout, input_grad=True):
-        x = self._need_cache(self._x)
-        return dout * self.grad_fn(x)
+        return dout * self.grad_fn(self._need_cache())
 
     def output_shape(self, in_shape):
         return tuple(in_shape)
-
-
-class Flatten(Layer):
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._shape = None
-
-    def forward(self, x, training=True):
-        if training:
-            self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout, input_grad=True):
-        shape = self._need_cache(self._shape)
-        return dout.reshape(shape)
-
-    def output_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
 
 
 class Reshape(Layer):
     """Fixed per-sample reshape, e.g. a feature vector into [C, L]."""
 
     def __init__(self, shape: tuple, name: str = ""):
+        super().__init__(name)
         self.shape = tuple(int(s) for s in shape)
-        self.name = name
-        self._in_shape = None
 
     def forward(self, x, training=True):
+        shape = self.output_shape(x.shape[1:])
         if training:
-            self._in_shape = x.shape
-        return x.reshape((x.shape[0],) + self.shape)
+            self._cache = x.shape
+        return x.reshape((x.shape[0],) + shape)
 
     def backward(self, dout, input_grad=True):
-        shape = self._need_cache(self._in_shape)
-        return dout.reshape(shape)
+        return dout.reshape(self._need_cache())
 
     def output_shape(self, in_shape):
         if int(np.prod(in_shape)) != int(np.prod(self.shape)):
             raise DimensionError(f"cannot reshape {in_shape} into {self.shape}")
         return self.shape
+
+
+class Flatten(Reshape):
+    def __init__(self, name: str = ""):
+        super().__init__((-1,), name)
+
+    def output_shape(self, in_shape):
+        return (int(np.prod(in_shape)),)
 
 
 class MaxPool2D(Layer):
@@ -263,8 +256,7 @@ class MaxPool2D(Layer):
         self.stride = int(stride) if stride is not None else self.wh
         if self.wh < 1 or self.ww < 1 or self.stride < 1:
             raise ConfigError("pool window and stride must be >= 1")
-        self.name = name
-        self._cache = None
+        super().__init__(name)
 
     def _out_hw(self, h, w):
         if self.wh > h or self.ww > w:
@@ -272,8 +264,9 @@ class MaxPool2D(Layer):
         return (h - self.wh) // self.stride + 1, (w - self.ww) // self.stride + 1
 
     def forward(self, x, training=True):
-        n, c, h, w = x.shape
-        ho, wo = self._out_hw(h, w)
+        if x.ndim != 4:
+            raise DimensionError(f"{type(self).__name__} expects [N,C,H,W], got {x.shape}")
+        ho, wo = self._out_hw(*x.shape[2:])
         s = self.stride
         taps = [x[:, :, pi:pi + s * (ho - 1) + 1:s, pj:pj + s * (wo - 1) + 1:s]
                 for pi in range(self.wh) for pj in range(self.ww)]
@@ -296,7 +289,7 @@ class MaxPool2D(Layer):
         return out
 
     def backward(self, dout, input_grad=True):
-        (n, c, h, w), idx = self._need_cache(self._cache)
+        (n, c, h, w), idx = self._need_cache()
         ho, wo = self._out_hw(h, w)
         s = self.stride
         overlap = s < self.wh or s < self.ww
@@ -328,6 +321,14 @@ class _Weighted(Layer):
     bound and the counts follow from ``edge_shape`` and ``_taps``."""
 
     param_names = ("weight", "bias")
+
+    def __init__(self, rng, dtype, name):
+        """Called once the subclass has set the geometry ``edge_shape``
+        reads; draws the parameters when given ``rng``."""
+        super().__init__(name)
+        self.dtype = np.dtype(dtype)
+        if rng is not None:
+            self.init_params(rng)
 
     @property
     def edge_shape(self) -> tuple:
@@ -375,11 +376,7 @@ class Linear(_Weighted):
                  dtype=T.DEFAULT_DTYPE, name: str = ""):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.dtype = np.dtype(dtype)
-        self.name = name
-        self._cache = None
-        if rng is not None:
-            self.init_params(rng)
+        super().__init__(rng, dtype, name)
 
     @property
     def edge_shape(self) -> tuple:
@@ -399,7 +396,7 @@ class Linear(_Weighted):
         return xmap @ w2.T + bias
 
     def backward(self, dout, input_grad=True):
-        xmap, aux, w2 = self._need_cache(self._cache)
+        xmap, aux, w2 = self._need_cache()
         self._add_grads(dout.T @ xmap, dout.sum(axis=0))
         return self._map_grad(dout @ w2, aux) if input_grad else None
 
@@ -759,21 +756,16 @@ class Conv2D(_Weighted):
         self.in_ch, self.out_ch = int(in_ch), int(out_ch)
         self.kh, self.kw = int(kh), int(kw)
         self.stride, self.pad = int(stride), int(pad)
-        self.dtype = np.dtype(dtype)
-        self.name = name
-        self._cache = None
-        if rng is not None:
-            self.init_params(rng)
+        super().__init__(rng, dtype, name)
 
     @property
     def edge_shape(self) -> tuple:
         return (self.out_ch, self.in_ch, self.kh, self.kw)
 
     def forward(self, x, training=True):
-        _, c, _, _ = x.shape
-        if c != self.in_ch:
+        if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise DimensionError(f"{self.name or type(self).__name__}: "
-                                 f"expected {self.in_ch} channels, got {c}")
+                                 f"expected [N,{self.in_ch},H,W], got {x.shape}")
         # pad before mapping, so a KAN layer's padded taps read phi(0), not 0
         xp = _pad_input(x, self.kh, self.kw, self.stride, self._pads)
         n, _, h, w = xp.shape
@@ -794,7 +786,7 @@ class Conv2D(_Weighted):
         return out
 
     def backward(self, dout, input_grad=True):
-        parts, w2 = self._need_cache(self._cache)
+        parts, w2 = self._need_cache()
 
         def run(s, e, xmap, aux):
             gw, gb, dmap = _conv_backward(dout[s:e], xmap, w2, self.kh, self.kw,
@@ -1004,17 +996,13 @@ class MaxPool1D(_Length1D, MaxPool2D):
 class GlobalAvgPool1D(Layer):
     """[N, C, L] -> [N, C] mean over the length axis."""
 
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._len = None
-
     def forward(self, x, training=True):
         if training:
-            self._len = x.shape[2]
+            self._cache = x.shape[2]
         return x.mean(axis=2)
 
     def backward(self, dout, input_grad=True):
-        length = self._need_cache(self._len)
+        length = self._need_cache()
         return np.repeat(dout[:, :, None], length, axis=2) / length
 
     def output_shape(self, in_shape):

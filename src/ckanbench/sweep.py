@@ -126,6 +126,8 @@ def validate_sweep_config(cfg: SweepConfig) -> None:
             raise ConfigError(f"prune ratio must be in [0,1), got {p}")
     if cfg.epochs < 1 or cfg.finetune_epochs < 1:
         raise ConfigError("epochs and finetune_epochs must be >= 1")
+    if cfg.batch_size < 1 or cfg.early_stop_tolerance < 0:
+        raise ConfigError("batch_size must be >= 1 and early_stop_tolerance >= 0")
     if not (cfg.grid_sizes and cfg.width_mults and cfg.relu_options
             and cfg.prune_ratios):
         raise ConfigError("every sweep factor needs at least one level")

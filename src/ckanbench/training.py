@@ -122,11 +122,16 @@ def adam_step(state: AdamState, named_params, named_grads,
 @dataclass
 class EarlyStopper:
     """Stop once validation loss has gone ``tolerance`` consecutive
-    epochs without a strict improvement over the best seen."""
+    epochs without a strict improvement over the best seen; a tolerance
+    of 0 never stops."""
 
     tolerance: int = 3
     best: float = math.inf
     counter: int = 0
+
+    def __post_init__(self):
+        if self.tolerance < 0:
+            raise ConfigError(f"early-stop tolerance must be >= 0, got {self.tolerance}")
 
     def update(self, val_loss: float) -> bool:
         if val_loss < self.best:
@@ -134,7 +139,7 @@ class EarlyStopper:
             self.counter = 0
         else:
             self.counter += 1
-        return self.counter >= self.tolerance
+        return 0 < self.tolerance <= self.counter
 
 
 @dataclass
@@ -213,6 +218,8 @@ def fit(model, train, val, epochs: int, batch_size: int = 128,
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     task = _task_of(model)
     loss_fn = bce_multilabel if task == "multilabel" else softmax_cross_entropy
     rng = np.random.default_rng(seed)

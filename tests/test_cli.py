@@ -110,6 +110,13 @@ class TestTrain:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_zero_batch_exits_1(self, synth_dir, capsys):
+        code = run_cli("train", "--model", "lenet", "--data", synth_dir,
+                       "--epochs", "1", "--batch", "0", "--subset", "64")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_diverged_training_exits_3(self, tmp_path, synth_dir, capsys,
                                        monkeypatch):
         import ckanbench.cli as cli_mod

@@ -16,6 +16,31 @@ from ckanbench.layers import (Activation, Conv1D, Conv2D, Flatten,
 from ckanbench.splines import bspline_spec, rbf_spec
 from support import basis
 
+# One small instance of every layer class, and the input shape it takes.
+_SPEC = rbf_spec(2)
+LAYER_CASES = {
+    "Activation": (lambda rng: Activation("relu"), (1, 2, 4)),
+    "Flatten": (lambda rng: Flatten(), (1, 1, 5, 5)),
+    "Reshape": (lambda rng: Reshape((5, 5)), (1, 25)),
+    "MaxPool2D": (lambda rng: MaxPool2D(2), (1, 1, 4, 4)),
+    "MaxPool1D": (lambda rng: MaxPool1D(2), (1, 1, 4)),
+    "GlobalAvgPool1D": (lambda rng: GlobalAvgPool1D(), (1, 2, 4)),
+    "Linear": (lambda rng: Linear(3, 2, rng=rng), (1, 3)),
+    "KanLinear": (lambda rng: KanLinear(3, 2, spec=_SPEC, rng=rng), (1, 3)),
+    "Conv2D": (lambda rng: Conv2D(1, 1, 3, rng=rng), (1, 1, 5, 5)),
+    "KanConv2D": (lambda rng: KanConv2D(1, 1, 3, spec=_SPEC, rng=rng), (1, 1, 5, 5)),
+    "Conv1D": (lambda rng: Conv1D(1, 1, 3, rng=rng), (1, 1, 5)),
+    "KanConv1D": (lambda rng: KanConv1D(1, 1, 3, spec=_SPEC, rng=rng), (1, 1, 5)),
+}
+
+
+def _layer_and_grad(case, rng):
+    """The case's layer, its input and an output gradient of the right shape."""
+    make, shape = LAYER_CASES[case]
+    lyr = make(rng)
+    dout = np.zeros(shape[:1] + lyr.output_shape(shape[1:]), dtype=np.float32)
+    return lyr, np.zeros(shape, dtype=np.float32), dout
+
 
 class TestConv2DForward:
     def test_matches_naive_loops(self, rng):
@@ -102,16 +127,29 @@ class TestKanConv2DForward:
         with pytest.raises(ConfigError):
             KanConv2D(1, 1, 3, rng=rng)
 
-    def test_backward_before_forward(self, rng):
-        lyr = KanConv2D(1, 1, 3, spec=rbf_spec(2), rng=rng)
+    @pytest.mark.parametrize("case", LAYER_CASES)
+    def test_backward_before_forward(self, case, rng):
+        lyr, _, dout = _layer_and_grad(case, rng)
         with pytest.raises(StateError):
-            lyr.backward(np.zeros((1, 1, 4, 4), dtype=np.float32))
+            lyr.backward(dout)
 
-    def test_inference_forward_leaves_no_cache(self, rng):
-        lyr = KanConv2D(1, 1, 3, spec=rbf_spec(2), rng=rng)
-        lyr.forward(np.zeros((1, 1, 5, 5), dtype=np.float32), training=False)
+    @pytest.mark.parametrize("case", LAYER_CASES)
+    def test_inference_forward_leaves_no_cache(self, case, rng):
+        lyr, x, dout = _layer_and_grad(case, rng)
+        lyr.forward(x, training=False)
         with pytest.raises(StateError):
-            lyr.backward(np.zeros((1, 1, 3, 3), dtype=np.float32))
+            lyr.backward(dout)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: Conv2D(3, 1, 3, rng=rng),
+    lambda rng: KanConv2D(3, 1, 3, spec=rbf_spec(2), rng=rng),
+    lambda rng: MaxPool2D(2),
+    lambda rng: Reshape((2, 3)),
+], ids=["Conv2D", "KanConv2D", "MaxPool2D", "Reshape"])
+def test_wrong_rank_or_size_is_a_dimension_error(make, rng):
+    with pytest.raises(DimensionError):
+        make(rng).forward(np.zeros((2, 3, 4), dtype=np.float32))
 
 
 class TestDegenerateEquivalence:

@@ -1,5 +1,6 @@
 """Names the package promises: every ``ckanbench`` attribute the benchmark
-under ``perfbench/`` reads, and every entry of a module's ``__all__``.
+under ``perfbench/`` reads, and every entry of a module's ``__all__``;
+and that the package root re-exports none of them.
 
 The benchmark's traced probes reach some package functions only inside
 function bodies, so a name deleted from ``src/`` would otherwise first
@@ -45,6 +46,15 @@ def test_perfbench_references_resolve():
     missing = [f"{where}: {mod}.{attr}" for where, mod, attr in refs
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def test_package_root_imports_nothing():
+    # each name has one import path: the module that defines it
+    path = os.path.join(REPO_ROOT, "src", "ckanbench", "__init__.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 @pytest.mark.parametrize("mod", ["ckanbench.evaluation", "ckanbench.splines"])

@@ -105,6 +105,8 @@ class TestConfigParsing:
             SweepConfig(family="poly"),
             SweepConfig(epochs=0),
             SweepConfig(grid_sizes=[]),
+            SweepConfig(batch_size=0),
+            SweepConfig(early_stop_tolerance=-1),
         ]
         for cfg in bad:
             with pytest.raises(ConfigError):

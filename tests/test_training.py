@@ -164,6 +164,14 @@ class TestEarlyStopper:
         assert not st.update(1.0)
         assert st.update(1.0)
 
+    def test_tolerance_zero_never_stops(self):
+        st = EarlyStopper(tolerance=0)
+        assert not any(st.update(v) for v in [1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ConfigError):
+            EarlyStopper(tolerance=-1)
+
 
 class TestFit:
     def _blob_data(self, seed=0):
@@ -214,6 +222,12 @@ class TestFit:
         res = fit(model, train, val, epochs=50, batch_size=32, lr=0.0,
                   stopper=EarlyStopper(tolerance=2), seed=6)
         assert len(res.report.epochs) == 3
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected(self, batch):
+        train, val = self._blob_data()
+        with pytest.raises(ConfigError, match="batch size"):
+            fit(tiny_classifier(8, 3), train, val, epochs=1, batch_size=batch)
 
     def test_nonfinite_loss_marks_failed(self):
         train, val = self._blob_data()
