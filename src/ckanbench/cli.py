@@ -32,30 +32,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, widths: bool = False) -> None:
+    """The flags that pick a model; ``widths`` adds a tabular model's
+    --n-features / --n-labels, for the commands that read no data."""
     p.add_argument("--basis", choices=("bspline", "rbf"), default="bspline")
     p.add_argument("--grid", type=int, default=5)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--width-mult", type=float, default=1.0)
     p.add_argument("--relu", choices=("on", "off"), default="on")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-features", type=int, default=875,
-                   help="tabular models only")
-    p.add_argument("--n-labels", type=int, default=206,
-                   help="tabular models only")
+    if widths:
+        p.add_argument("--n-features", type=int, default=875,
+                       help="tabular models only")
+        p.add_argument("--n-labels", type=int, default=206,
+                       help="tabular models only")
 
 
-def _build_from_args(model_name: str, args, n_features=None, n_labels=None):
+def _build_from_args(model_name: str, args):
     """Build a model from its CLI flags through ``build_from_config``."""
-    nf = args.n_features if n_features is None else n_features
-    nl = args.n_labels if n_labels is None else n_labels
     cfg = {
         "arch": model_name.replace("-", "_"), "seed": str(args.seed),
         "width_mult": repr(args.width_mult), "relu": args.relu,
         "family": args.basis, "grid": str(args.grid),
         "degree": str(args.degree if args.basis == "bspline" else 0),
-        "n_features": str(nf), "n_labels": str(nl),
     }
+    if model_name.startswith("tabular"):
+        cfg.update(n_features=str(args.n_features), n_labels=str(args.n_labels))
     return M.build_from_config(cfg)
 
 
@@ -98,12 +100,10 @@ def _load_checkpoint_dir(dir_path: str):
 def cmd_train(args) -> int:
     train, val = _load_train_val(args.model, args)
     if args.model.startswith("tabular"):
-        model = _build_from_args(args.model, args,
-                                 n_features=train.inputs.shape[1],
-                                 n_labels=train.targets.shape[1])
-    else:
-        model = _build_from_args(args.model, args)
-    if args.subset:
+        # a tabular model's widths are its data's
+        args.n_features, args.n_labels = train.inputs.shape[1], train.targets.shape[1]
+    model = _build_from_args(args.model, args)
+    if args.subset is not None:
         train = dio.subset_dataset(train, args.subset, args.seed)
     result = fit(model, train, val, epochs=args.epochs,
                  batch_size=args.batch, lr=args.lr,
@@ -159,7 +159,7 @@ def cmd_prune(args) -> int:
             raise ConfigError("--finetune-epochs needs --data for fine-tuning")
         args.model = model.meta["arch"].replace("_", "-")
         train, val = _load_train_val(args.model, args)
-        if args.subset:
+        if args.subset is not None:
             train = dio.subset_dataset(train, args.subset, args.seed)
         result = finetune_pruned(model, mask, train, val,
                                  epochs=args.finetune_epochs,
@@ -205,7 +205,7 @@ def build_parser() -> _Parser:
                      description="spline-kernel conv benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[], help="train one model")
+    p = sub.add_parser("train", help="train one model")
     p.add_argument("--model", choices=TRAINABLE, required=True)
     _add_model_flags(p)
     p.add_argument("--data", required=True)
@@ -223,12 +223,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="print parameter and MAC counts")
     p.add_argument("--model", choices=COUNTABLE, required=True)
-    _add_model_flags(p)
+    _add_model_flags(p, widths=True)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("profile", help="median/p90 forward latency")
     p.add_argument("--model", choices=COUNTABLE, default=None)
-    _add_model_flags(p)
+    _add_model_flags(p, widths=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--warmup", type=int, default=10)

@@ -997,6 +997,8 @@ class GlobalAvgPool1D(Layer):
     """[N, C, L] -> [N, C] mean over the length axis."""
 
     def forward(self, x, training=True):
+        if x.ndim != 3:
+            raise DimensionError(f"{type(self).__name__} expects [N,C,L], got {x.shape}")
         if training:
             self._cache = x.shape[2]
         return x.mean(axis=2)

@@ -49,12 +49,11 @@ class ModelGraph:
     """
 
     def __init__(self, name: str, layers: list, input_shape: tuple,
-                 n_outputs: int, output_kind: str = "logits",
-                 meta: dict | None = None, seed: int = 0):
+                 output_kind: str = "logits", meta: dict | None = None,
+                 seed: int = 0):
         self.name = name
         self._layers = list(layers)
         self.input_shape = tuple(input_shape)
-        self.n_outputs = n_outputs
         self.output_kind = output_kind      # "logits" or "probs"
         self.meta = {} if meta is None else meta
         self.seed = seed
@@ -216,7 +215,7 @@ def _lenet(arch: str, widths, w: float, relu_on: bool, seed: int, dtype,
         fc(3, f2, 10),
     ]
     meta = _meta(arch, conv_spec, width_mult=w, relu=relu_on)
-    return ModelGraph(arch, lyrs, (1, 28, 28), 10, meta=meta, seed=seed)
+    return ModelGraph(arch, lyrs, (1, 28, 28), meta=meta, seed=seed)
 
 
 def build_lenet(width_mult: float = 1.0, relu_on: bool = True,
@@ -285,8 +284,7 @@ def build_alexnet(kan: bool = False, spec: SplineSpec = None, seed: int = 0,
         fc(3, f, 1000),
     ]
     arch = "alexnet_kan" if kan else "alexnet"
-    return ModelGraph(arch, lyrs, (3, 224, 224), 1000, meta=_meta(arch, spec),
-                      seed=seed)
+    return ModelGraph(arch, lyrs, (3, 224, 224), meta=_meta(arch, spec), seed=seed)
 
 
 def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
@@ -320,8 +318,20 @@ def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
     ]
     arch = "tabular_kan" if kan else "tabular_cnn"
     meta = _meta(arch, spec, n_features=n_features, n_labels=n_labels)
-    return ModelGraph(arch, lyrs, (n_features,), n_labels,
-                      output_kind="probs", meta=meta, seed=seed)
+    return ModelGraph(arch, lyrs, (n_features,), output_kind="probs", meta=meta,
+                      seed=seed)
+
+
+def parse_on_off(text: str) -> bool:
+    """An ``on`` / ``off`` token, in any case, as a bool."""
+    token = text.strip().lower()
+    if token not in ("on", "off"):
+        raise ValueError("expected on/off")
+    return token == "on"
+
+
+def format_on_off(flag: bool) -> str:
+    return "on" if flag else "off"
 
 
 def model_config(model: ModelGraph) -> dict[str, str]:
@@ -330,7 +340,7 @@ def model_config(model: ModelGraph) -> dict[str, str]:
     cfg = {"arch": meta["arch"], "seed": str(model.seed)}
     if "width_mult" in meta:
         cfg["width_mult"] = repr(float(meta["width_mult"]))
-        cfg["relu"] = "on" if meta["relu"] else "off"
+        cfg["relu"] = format_on_off(meta["relu"])
     spec = meta.get("spec")
     if spec is not None:
         cfg["family"] = spec.family.value
@@ -346,12 +356,6 @@ def model_config(model: ModelGraph) -> dict[str, str]:
 def _float_pair(text: str) -> tuple[float, float]:
     lo, hi = text.split(",")
     return float(lo), float(hi)
-
-
-def _on_off(text: str) -> bool:
-    if text not in ("on", "off"):
-        raise ValueError("expected on or off")
-    return text == "on"
 
 
 def _width(text: str) -> float:
@@ -384,7 +388,7 @@ def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
         spec = SplineSpec(cfg["family"], get("grid", int, 5),
                           get("degree", int, 3), get("domain", _float_pair, None))
     w = get("width_mult", _width, 1.0)
-    relu_on = get("relu", _on_off, True)
+    relu_on = get("relu", parse_on_off, True)
     if arch == "lenet":
         return build_lenet(w, relu_on, seed, dtype)
     if arch == "lenet_kan":

@@ -20,6 +20,7 @@ worker's training; reports are always merged in grid order.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import multiprocessing as mp
@@ -35,12 +36,14 @@ from .data import Dataset, subset_dataset
 from .errors import ConfigError
 from .evaluation import (finetune_pruned, latency_profile, prune_channels_l2)
 from .layers import one_thread
-from .models import build_lenet_kan_full, read_key_values
+from .models import (build_lenet_kan_full, format_on_off, parse_on_off,
+                     read_key_values)
 from .splines import SplineSpec, bspline_spec, rbf_spec
 from .training import EarlyStopper, FitResult, fit
 
-RUNS_COLUMNS = ["g", "w", "relu", "p", "val_loss", "val_acc", "params",
-                "macs", "latency_ms", "wall_s", "status"]
+CELL_COLUMNS = ["g", "w", "relu", "p"]
+RUNS_COLUMNS = CELL_COLUMNS + ["val_loss", "val_acc", "params", "macs",
+                               "latency_ms", "wall_s", "status"]
 
 
 @dataclass
@@ -72,12 +75,13 @@ def default_sweep_config() -> SweepConfig:
     return SweepConfig()
 
 
-_LIST_FIELDS = {
-    "grid_sizes": int,
-    "width_mults": float,
-    "prune_ratios": float,
-}
-_SCALAR_FIELDS = {
+def _list_of(parse):
+    return lambda text: [parse(tok) for tok in text.split(",")]
+
+
+_FIELDS = {
+    "grid_sizes": _list_of(int), "width_mults": _list_of(float),
+    "relu_options": _list_of(parse_on_off), "prune_ratios": _list_of(float),
     "family": str, "degree": int, "epochs": int, "batch_size": int,
     "lr": float, "finetune_epochs": int, "early_stop_tolerance": int,
     "seed": int, "subset": int, "latency_batch": int,
@@ -90,24 +94,12 @@ def parse_sweep_config(path: str) -> SweepConfig:
     on/off tokens."""
     cfg = SweepConfig()
     for lineno, key, val in read_key_values(path):
+        if key not in _FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _LIST_FIELDS:
-                conv = _LIST_FIELDS[key]
-                setattr(cfg, key, [conv(tok) for tok in val.split(",")])
-            elif key == "relu_options":
-                opts = []
-                for tok in val.split(","):
-                    tok = tok.strip().lower()
-                    if tok not in ("on", "off"):
-                        raise ValueError(f"relu option must be on/off, got {tok!r}")
-                    opts.append(tok == "on")
-                cfg.relu_options = opts
-            elif key in _SCALAR_FIELDS:
-                setattr(cfg, key, _SCALAR_FIELDS[key](val))
-            else:
-                raise ValueError(f"unknown key {key!r}")
+            setattr(cfg, key, _FIELDS[key](val))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            raise ConfigError(f"{path}:{lineno}: bad {key}={val!r}: {exc}") from None
     validate_sweep_config(cfg)
     return cfg
 
@@ -128,6 +120,8 @@ def validate_sweep_config(cfg: SweepConfig) -> None:
         raise ConfigError("epochs and finetune_epochs must be >= 1")
     if cfg.batch_size < 1 or cfg.early_stop_tolerance < 0:
         raise ConfigError("batch_size must be >= 1 and early_stop_tolerance >= 0")
+    if cfg.subset is not None and cfg.subset < 1:
+        raise ConfigError(f"subset must be >= 1, got {cfg.subset}")
     if not (cfg.grid_sizes and cfg.width_mults and cfg.relu_options
             and cfg.prune_ratios):
         raise ConfigError("every sweep factor needs at least one level")
@@ -143,16 +137,10 @@ class SweepCell:
 
 
 def enumerate_grid(cfg: SweepConfig) -> list[SweepCell]:
-    cells = []
-    i = 0
-    for g in cfg.grid_sizes:
-        for w in cfg.width_mults:
-            for relu in cfg.relu_options:
-                for p in cfg.prune_ratios:
-                    cells.append(SweepCell(i, int(g), float(w), bool(relu),
-                                           float(p)))
-                    i += 1
-    return cells
+    levels = itertools.product(cfg.grid_sizes, cfg.width_mults,
+                               cfg.relu_options, cfg.prune_ratios)
+    return [SweepCell(i, int(g), float(w), bool(relu), float(p))
+            for i, (g, w, relu, p) in enumerate(levels)]
 
 
 @dataclass
@@ -255,7 +243,7 @@ def _run_base(cells: list[SweepCell], cfg: SweepConfig, train: Dataset,
         if verbose:
             res = runs[-1][0]
             print(f"cell {cell.index}: g={cell.g} w={cell.w} "
-                  f"relu={'on' if cell.relu else 'off'} p={cell.p} "
+                  f"relu={format_on_off(cell.relu)} p={cell.p} "
                   f"-> {res.status} acc={res.val_acc}")
     return runs
 
@@ -307,7 +295,7 @@ def run_sweep(cfg: SweepConfig, train: Dataset, val: Dataset, out_dir: str,
     summary.json under out_dir.  Results come back in grid order."""
     validate_sweep_config(cfg)
     cells = enumerate_grid(cfg)
-    if cfg.subset:
+    if cfg.subset is not None:
         train = subset_dataset(train, cfg.subset, cfg.seed)
     # p varies fastest, so each run of len(prune_ratios) cells is one base
     n = len(cfg.prune_ratios)
@@ -340,56 +328,45 @@ def normalize_radar(values: np.ndarray, invert: bool) -> np.ndarray:
     return 1.0 - norm if invert else norm
 
 
-def _relu_tok(relu: bool) -> str:
-    return "on" if relu else "off"
+def _cell_columns(cell: SweepCell) -> list:
+    """The CELL_COLUMNS values of ``cell``."""
+    return [cell.g, cell.w, format_on_off(cell.relu), cell.p]
+
+
+# radar column -> (CellResult field, whether lower is better)
+_RADAR_AXES = {"params_score": ("params", True), "macs_score": ("macs", True),
+               "latency_score": ("latency_ms", True),
+               "acc_score": ("val_acc", False)}
+
+
+def _write_csv(out_dir: str, name: str, header: list, rows) -> None:
+    with open(os.path.join(out_dir, name), "w", newline="",
+              encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit_reports(results: list[CellResult], out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "runs.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNS_COLUMNS)
-        for res in results:
-            c = res.cell
-            writer.writerow([
-                c.g, c.w, _relu_tok(c.relu), c.p,
-                _fmt(res.val_loss, "{:.6f}"), _fmt(res.val_acc, "{:.6f}"),
-                _fmt(res.params, "{:d}"), _fmt(res.macs, "{:d}"),
-                _fmt(res.latency_ms, "{:.3f}"), "{:.2f}".format(res.wall_s),
-                res.status,
-            ])
+    _write_csv(out_dir, "runs.csv", RUNS_COLUMNS, [
+        _cell_columns(res.cell) + [
+            _fmt(res.val_loss, "{:.6f}"), _fmt(res.val_acc, "{:.6f}"),
+            _fmt(res.params, "{:d}"), _fmt(res.macs, "{:d}"),
+            _fmt(res.latency_ms, "{:.3f}"), "{:.2f}".format(res.wall_s),
+            res.status,
+        ] for res in results])
 
     ok = [r for r in results if r.status == "ok"]
+    _write_csv(out_dir, "frontier.csv", ["macs", "val_acc"], [
+        [res.macs, "{:.6f}".format(res.val_acc)]
+        for res in sorted(ok, key=lambda r: (r.macs, r.cell.index))])
 
-    with open(os.path.join(out_dir, "frontier.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["macs", "val_acc"])
-        for res in sorted(ok, key=lambda r: (r.macs, r.cell.index)):
-            writer.writerow([res.macs, "{:.6f}".format(res.val_acc)])
-
-    with open(os.path.join(out_dir, "radar.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["g", "w", "relu", "p", "params_score", "macs_score",
-                         "latency_score", "acc_score"])
-        if ok:
-            axes = {
-                "params": normalize_radar([r.params for r in ok], invert=True),
-                "macs": normalize_radar([r.macs for r in ok], invert=True),
-                "latency": normalize_radar([r.latency_ms for r in ok], invert=True),
-                "acc": normalize_radar([r.val_acc for r in ok], invert=False),
-            }
-            for i, res in enumerate(ok):
-                c = res.cell
-                writer.writerow([
-                    c.g, c.w, _relu_tok(c.relu), c.p,
-                    "{:.4f}".format(axes["params"][i]),
-                    "{:.4f}".format(axes["macs"][i]),
-                    "{:.4f}".format(axes["latency"][i]),
-                    "{:.4f}".format(axes["acc"][i]),
-                ])
+    axes = [normalize_radar([getattr(r, attr) for r in ok], invert)
+            for attr, invert in _RADAR_AXES.values()] if ok else []
+    _write_csv(out_dir, "radar.csv", CELL_COLUMNS + list(_RADAR_AXES), [
+        _cell_columns(res.cell) + ["{:.4f}".format(axis[i]) for axis in axes]
+        for i, res in enumerate(ok)])
 
     summary = {
         "n_cells": len(results),
@@ -403,8 +380,7 @@ def emit_reports(results: list[CellResult], out_dir: str) -> None:
         base = ok[0]
         for tag, res in (("best", best), ("baseline", base)):
             summary[tag] = {
-                "g": res.cell.g, "w": res.cell.w,
-                "relu": _relu_tok(res.cell.relu), "p": res.cell.p,
+                **dict(zip(CELL_COLUMNS, _cell_columns(res.cell))),
                 "val_acc": res.val_acc, "val_loss": res.val_loss,
                 "params": res.params, "macs": res.macs,
                 "latency_ms": res.latency_ms,

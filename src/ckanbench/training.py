@@ -220,6 +220,9 @@ def fit(model, train, val, epochs: int, batch_size: int = 128,
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    for kind, ds in (("training", train), ("validation", val)):
+        if len(ds) == 0:
+            raise ConfigError(f"the {kind} set is empty")
     task = _task_of(model)
     loss_fn = bce_multilabel if task == "multilabel" else softmax_cross_entropy
     rng = np.random.default_rng(seed)

@@ -156,6 +156,37 @@ class TestTrain:
         assert code == 0
         assert "best_epoch" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fraction", ["0.9", "0.1"],
+                             ids=["no-train-rows", "no-val-rows"])
+    def test_empty_split_exits_1(self, tmp_path, capsys, fraction):
+        # of 4 rows, a 0.9 split leaves none to train on and 0.1 none to
+        # validate on
+        (tmp_path / "features.csv").write_text(
+            "id,f1\n" + "".join(f"r{i},{i}.5\n" for i in range(4)))
+        (tmp_path / "targets.csv").write_text(
+            "id,l1\n" + "".join(f"r{i},{i % 2}\n" for i in range(4)))
+        code = run_cli("train", "--model", "tabular-cnn", "--data",
+                       str(tmp_path), "--epochs", "1",
+                       "--val-fraction", fraction)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "set is empty" in err
+
+    def test_subset_zero_exits_1(self, synth_dir, capsys):
+        code = run_cli("train", "--model", "lenet", "--data", synth_dir,
+                       "--epochs", "1", "--subset", "0")
+        assert code == 1
+        assert "subset size 0" in capsys.readouterr().err
+
+    def test_tabular_width_flags_are_not_train_flags(self, synth_dir, capsys):
+        # a tabular model trains at its data's widths
+        code = run_cli("train", "--model", "lenet", "--data", synth_dir,
+                       "--subset", "64", "--n-features", "3",
+                       "--n-labels", "9")
+        assert code == 1
+        assert "--n-features" in capsys.readouterr().err
+
 
 class TestProfile:
     def test_profile_model(self, capsys):
@@ -376,6 +407,13 @@ class TestSweep:
                        "--data", str(tmp_path / "missing"),
                        "--out-dir", str(tmp_path / "out"))
         assert code == 2
+
+    def test_subset_zero_exits_1(self, tmp_path, synth_dir, capsys):
+        code = run_cli("sweep", "--config", self._cfg_file(tmp_path),
+                       "--data", synth_dir, "--out-dir", str(tmp_path / "out"),
+                       "--subset", "0")
+        assert code == 1
+        assert "subset must be >= 1" in capsys.readouterr().err
 
     def test_bad_config_exits_1(self, tmp_path, synth_dir, capsys):
         path = tmp_path / "sweep.cfg"

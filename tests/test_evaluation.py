@@ -35,7 +35,7 @@ def _tiny_kan_model(seed=0, out_ch=4):
         Activation("relu", name="a1"),
         Flatten(name="f1"),
         Linear(out_ch * 4, 3, rng=g, name="head"),
-    ], input_shape=(1, 2, 2), n_outputs=3)
+    ], input_shape=(1, 2, 2))
 
 
 def assert_block_matches(block: MetricsBlock, want, tol=1e-12):
@@ -308,7 +308,7 @@ class TestPruning:
         base = _tiny_kan_model(seed=2)
         conv = base.kan_conv_layers()[0]
         layers = base.layers[:1] + [Saboteur(conv, "sab")] + base.layers[1:]
-        model = ModelGraph("t", layers, input_shape=(1, 2, 2), n_outputs=3)
+        model = ModelGraph("t", layers, input_shape=(1, 2, 2))
         pmask = prune_channels_l2(model, 0.4)
         with pytest.raises(StateError):
             finetune_pruned(model, pmask, train, val, epochs=1,

@@ -175,7 +175,7 @@ class TestEndToEnd:
             KanLinear(2 * 4 * 4, 3, spec=bspline_spec(4, 2), rng=g,
                       dtype=np.float64, name="h0"),
         ]
-        model = ModelGraph("tiny", layers, input_shape=(1, 8, 8), n_outputs=3)
+        model = ModelGraph("tiny", layers, input_shape=(1, 8, 8))
         x = 0.5 * rng.standard_normal((4, 1, 8, 8))
         labels = np.array([0, 1, 2, 1])
 

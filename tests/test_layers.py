@@ -141,15 +141,16 @@ class TestKanConv2DForward:
             lyr.backward(dout)
 
 
-@pytest.mark.parametrize("make", [
-    lambda rng: Conv2D(3, 1, 3, rng=rng),
-    lambda rng: KanConv2D(3, 1, 3, spec=rbf_spec(2), rng=rng),
-    lambda rng: MaxPool2D(2),
-    lambda rng: Reshape((2, 3)),
-], ids=["Conv2D", "KanConv2D", "MaxPool2D", "Reshape"])
-def test_wrong_rank_or_size_is_a_dimension_error(make, rng):
+@pytest.mark.parametrize("make,shape", [
+    (lambda rng: Conv2D(3, 1, 3, rng=rng), (2, 3, 4)),
+    (lambda rng: KanConv2D(3, 1, 3, spec=rbf_spec(2), rng=rng), (2, 3, 4)),
+    (lambda rng: MaxPool2D(2), (2, 3, 4)),
+    (lambda rng: Reshape((2, 3)), (2, 3, 4)),
+    (lambda rng: GlobalAvgPool1D(), (2, 3)),
+], ids=["Conv2D", "KanConv2D", "MaxPool2D", "Reshape", "GlobalAvgPool1D"])
+def test_wrong_rank_or_size_is_a_dimension_error(make, shape, rng):
     with pytest.raises(DimensionError):
-        make(rng).forward(np.zeros((2, 3, 4), dtype=np.float32))
+        make(rng).forward(np.zeros(shape, dtype=np.float32))
 
 
 class TestDegenerateEquivalence:

@@ -165,7 +165,7 @@ def _eager_lenet(conv, rng):
         Linear(400, 120, rng=rng, name="fc1"), Activation("relu", name="a3"),
         Linear(120, 84, rng=rng, name="fc2"), Activation("relu", name="a4"),
         Linear(84, 10, rng=rng, name="fc3"),
-    ], (1, 28, 28), 10)
+    ], (1, 28, 28))
 
 
 class TestDeferredDraws:
@@ -195,7 +195,7 @@ class TestModelGraph:
         with pytest.raises(ConsistencyError):
             ModelGraph("bad", [Linear(4, 4, rng=rng, name="fc"),
                                Linear(4, 4, rng=rng, name="fc")],
-                       input_shape=(4,), n_outputs=4)
+                       input_shape=(4,))
 
     def test_state_roundtrip_and_mismatch(self):
         a = build_lenet_kan_full(spec=rbf_spec(2), seed=3)
@@ -338,6 +338,12 @@ class TestConfigRoundTrip:
     def test_unknown_arch_rejected(self):
         with pytest.raises(ConfigError):
             build_from_config({"arch": "resnet"})
+
+    @pytest.mark.parametrize("token,relu_on", [("ON", True), ("Off", False)])
+    def test_relu_token_is_case_insensitive(self, token, relu_on):
+        model = build_from_config({"arch": "lenet", "relu": token})
+        assert model.meta["relu"] is relu_on
+        assert model_config(model)["relu"] == token.lower()
 
     @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
     def test_non_positive_or_non_finite_width_rejected(self, width):

@@ -85,6 +85,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"sweep\.cfg:2.*bogus"):
             parse_sweep_config(str(path))
 
+    def test_relu_tokens_are_case_insensitive(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text("relu_options=On,off\n")
+        assert parse_sweep_config(str(path)).relu_options == [True, False]
+
     def test_bad_relu_token(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text("relu_options=on,maybe\n")
@@ -107,6 +112,7 @@ class TestConfigParsing:
             SweepConfig(grid_sizes=[]),
             SweepConfig(batch_size=0),
             SweepConfig(early_stop_tolerance=-1),
+            SweepConfig(subset=0),
         ]
         for cfg in bad:
             with pytest.raises(ConfigError):
@@ -146,6 +152,37 @@ def _fake_results():
 
 
 class TestEmitReports:
+    def test_csv_text(self, tmp_path):
+        # every byte of each table: number formats, row order, and the
+        # csv module's \r\n line ends
+        from ckanbench.sweep import emit_reports
+        emit_reports(_fake_results(), str(tmp_path))
+        expected = {
+            "runs.csv": [
+                "g,w,relu,p,val_loss,val_acc,params,macs,latency_ms,wall_s,"
+                "status",
+                "2,1.0,on,0.0,1.000000,0.500000,1000,5000,3.000,2.00,ok",
+                "2,1.0,on,0.25,0.900000,0.600000,1100,4000,4.000,3.00,ok",
+                "3,1.0,on,0.0,,,,,,1.00,failed",
+                "3,1.0,on,0.25,0.700000,0.800000,1300,2000,6.000,5.00,ok",
+            ],
+            "frontier.csv": [
+                "macs,val_acc",
+                "2000,0.800000",
+                "4000,0.600000",
+                "5000,0.500000",
+            ],
+            "radar.csv": [
+                "g,w,relu,p,params_score,macs_score,latency_score,acc_score",
+                "2,1.0,on,0.0,1.0000,0.0000,1.0000,0.0000",
+                "2,1.0,on,0.25,0.6667,0.3333,0.6667,0.3333",
+                "3,1.0,on,0.25,0.0000,1.0000,0.0000,1.0000",
+            ],
+        }
+        for name, lines in expected.items():
+            assert (tmp_path / name).read_bytes() == \
+                "".join(line + "\r\n" for line in lines).encode()
+
     def test_runs_csv_layout(self, tmp_path):
         from ckanbench.sweep import emit_reports
         emit_reports(_fake_results(), str(tmp_path))

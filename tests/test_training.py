@@ -28,8 +28,7 @@ def tiny_classifier(n_features, n_classes, seed=0, hidden=16,
     ]
     if output_kind == "probs":
         layers.append(Activation("sigmoid", name="out"))
-    return ModelGraph("tiny", layers, (n_features,), n_classes,
-                      output_kind=output_kind)
+    return ModelGraph("tiny", layers, (n_features,), output_kind=output_kind)
 
 
 class TestSoftmaxCrossEntropy:
@@ -228,6 +227,14 @@ class TestFit:
         train, val = self._blob_data()
         with pytest.raises(ConfigError, match="batch size"):
             fit(tiny_classifier(8, 3), train, val, epochs=1, batch_size=batch)
+
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_set_rejected(self, empty):
+        sets = dict(zip(("training", "validation"), self._blob_data()))
+        sets[empty] = sets[empty].take(np.arange(0))
+        with pytest.raises(ConfigError, match=f"{empty} set is empty"):
+            fit(tiny_classifier(8, 3), sets["training"], sets["validation"],
+                epochs=1)
 
     def test_nonfinite_loss_marks_failed(self):
         train, val = self._blob_data()
