@@ -1,8 +1,9 @@
 """Command-line harness.
 
 Subcommands: train, sweep, profile, count, prune.  Exit codes: 0 on
-success, 1 for configuration/flag errors, 2 for data errors, 3 when a
-sweep completed but one or more cells failed.
+success, 1 for configuration/flag errors, 2 for data errors (data of the
+wrong shape included), 3 when a sweep completed but one or more cells
+failed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from . import checkpoint as ckpt
 from . import data as dio
 from . import models as M
-from .errors import ConfigError, ConsistencyError, FormatError
+from .errors import ConfigError, ConsistencyError, DimensionError, FormatError
 from .evaluation import (apply_prune_mask, finetune_pruned, latency_profile,
                          prune_channels_l2)
 from .sweep import default_sweep_config, parse_sweep_config, run_sweep
@@ -40,7 +41,7 @@ def _add_model_flags(p: argparse.ArgumentParser, widths: bool = False) -> None:
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--width-mult", type=float, default=1.0)
     p.add_argument("--relu", choices=("on", "off"), default="on")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=M.parse_seed, default=0)
     if widths:
         p.add_argument("--n-features", type=int, default=875,
                        help="tabular models only")
@@ -137,10 +138,8 @@ def cmd_count(args) -> int:
 def cmd_profile(args) -> int:
     if args.checkpoint:
         model = _load_checkpoint_dir(args.checkpoint)
-    elif args.model:
-        model = _build_from_args(args.model, args)
     else:
-        raise ConfigError("profile needs --model or --checkpoint")
+        model = _build_from_args(args.model, args)
     prof = latency_profile(model, batch_size=args.batch, warmup=args.warmup,
                            iters=args.iters, seed=args.seed)
     print(f"batch {prof.batch_size} iters {prof.iters}")
@@ -227,9 +226,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("profile", help="median/p90 forward latency")
-    p.add_argument("--model", choices=COUNTABLE, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", choices=COUNTABLE)
+    source.add_argument("--checkpoint")
     _add_model_flags(p, widths=True)
-    p.add_argument("--checkpoint", default=None)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--iters", type=int, default=100)
@@ -242,7 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", default=None)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=M.parse_seed, default=0)
     p.add_argument("--subset", type=int, default=None)
     p.add_argument("--val-fraction", type=float, default=0.15)
     p.add_argument("--out", default=None)
@@ -255,7 +255,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--subset", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=M.parse_seed, default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -274,7 +274,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, ConsistencyError, FileNotFoundError) as exc:
+    except (FormatError, ConsistencyError, DimensionError,
+            FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

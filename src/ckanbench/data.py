@@ -3,8 +3,9 @@
 IDX files follow the big-endian layout used by the classic handwritten
 digit corpus (magic 2051 for image tensors, 2049 for label vectors);
 gzip-compressed files are detected by their magic bytes and inflated on
-the fly.  The writer emits the same layout, so write -> read round trips
-are bit-exact.
+the fly.  ``write_idx`` is the one writer: it emits the same layout for
+an unsigned-byte array of any rank, so write -> read round trips are
+bit-exact.
 
 The tabular loader parses two CSV files (features and binary targets)
 joined on their first column.  Parsing is deliberately strict: quoted
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import gzip
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +37,12 @@ MNIST_FILES = {
 class Dataset:
     inputs: np.ndarray
     targets: np.ndarray
-    name: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def take(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
-        return Dataset(self.inputs[idx], self.targets[idx],
-                       name if name is not None else self.name, dict(self.meta))
+    def take(self, idx: np.ndarray) -> "Dataset":
+        return Dataset(self.inputs[idx], self.targets[idx])
 
 
 def _read_bytes(path: str) -> bytes:
@@ -90,33 +88,23 @@ def _read_idx_checked(path: str, expected_magic: int) -> np.ndarray:
     return arr
 
 
-def write_idx_images(path: str, images: np.ndarray) -> None:
-    images = np.asarray(images)
-    if images.ndim != 3 or images.dtype != np.uint8:
-        raise FormatError(f"images must be uint8 [N,H,W], got {images.dtype}{images.shape}")
-    n, h, w = images.shape
+def write_idx(path: str, arr: np.ndarray) -> None:
+    """Write an unsigned-byte array of rank >= 1 as one IDX tensor."""
+    arr = np.asarray(arr)
+    if arr.ndim < 1 or arr.dtype != np.uint8:
+        raise FormatError(f"IDX arrays must be uint8 of rank >= 1, "
+                          f"got {arr.dtype}{arr.shape}")
     with open(path, "wb") as fh:
-        for val in (IDX_IMAGES_MAGIC, n, h, w):
+        for val in (0x0800 + arr.ndim, *arr.shape):
             fh.write(val.to_bytes(4, "big"))
-        fh.write(images.tobytes())
+        fh.write(arr.tobytes())
 
 
-def write_idx_labels(path: str, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.dtype != np.uint8:
-        raise FormatError(f"labels must be uint8 [N], got {labels.dtype}{labels.shape}")
-    with open(path, "wb") as fh:
-        for val in (IDX_LABELS_MAGIC, labels.shape[0]):
-            fh.write(val.to_bytes(4, "big"))
-        fh.write(labels.tobytes())
-
-
-def load_mnist_idx(images_path: str, labels_path: str,
-                   normalize: bool = True, name: str = "mnist") -> Dataset:
+def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
     """Image/label IDX pair -> Dataset of [N,1,H,W] float32 and int64 labels.
 
-    Pixels are scaled to [0,1] and, when ``normalize`` is set,
-    standardised with the canonical mean 0.1307 and std 0.3081.
+    Pixels are scaled to [0,1], then standardised with the canonical mean
+    0.1307 and std 0.3081.
     """
     images = _read_idx_checked(images_path, IDX_IMAGES_MAGIC)
     labels = _read_idx_checked(labels_path, IDX_LABELS_MAGIC)
@@ -124,15 +112,11 @@ def load_mnist_idx(images_path: str, labels_path: str,
         raise ConsistencyError(
             f"{images.shape[0]} images but {labels.shape[0]} labels")
     x = images.astype(np.float32) / np.float32(255.0)
-    if normalize:
-        x = (x - np.float32(MNIST_MEAN)) / np.float32(MNIST_STD)
-    x = x[:, None, :, :]
-    meta = {"normalized": normalize, "mean": MNIST_MEAN, "std": MNIST_STD}
-    return Dataset(x, labels.astype(np.int64), name=name, meta=meta)
+    x = (x - np.float32(MNIST_MEAN)) / np.float32(MNIST_STD)
+    return Dataset(x[:, None, :, :], labels.astype(np.int64))
 
 
-def load_mnist_dir(dir_path: str, split: str = "train",
-                   normalize: bool = True) -> Dataset:
+def load_mnist_dir(dir_path: str, split: str = "train") -> Dataset:
     """Load by the conventional file names, accepting .gz variants."""
     if split not in MNIST_FILES:
         raise ConfigError(f"split must be train or test, got {split!r}")
@@ -144,8 +128,7 @@ def load_mnist_dir(dir_path: str, split: str = "train",
         if not os.path.exists(cand):
             raise FileNotFoundError(f"missing {base}[.gz] under {dir_path}")
         paths.append(cand)
-    return load_mnist_idx(paths[0], paths[1], normalize=normalize,
-                          name=f"mnist-{split}")
+    return load_mnist_idx(paths[0], paths[1])
 
 
 def _parse_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -177,8 +160,7 @@ def _is_float(tok: str) -> bool:
         return False
 
 
-def load_tabular_csv(features_path: str, targets_path: str,
-                     name: str = "tabular") -> Dataset:
+def load_tabular_csv(features_path: str, targets_path: str) -> Dataset:
     """Join a feature CSV and a 0/1 target CSV on their first (id) column.
 
     Column types come from the first data row: numeric columns are
@@ -196,15 +178,10 @@ def load_tabular_csv(features_path: str, targets_path: str,
         targets_by_id[row[0]] = row[1:]
 
     n = len(f_rows)
-    feat_cols = f_header[1:]
-    numeric = [_is_float(f_rows[0][j + 1]) for j in range(len(feat_cols))]
-
     blocks = []
-    feature_names = []
-    norms = {}
-    for j, col in enumerate(feat_cols):
+    for j, col in enumerate(f_header[1:]):
         raw = [row[j + 1] for row in f_rows]
-        if numeric[j]:
+        if _is_float(f_rows[0][j + 1]):
             vals = np.empty(n, dtype=np.float64)
             for i, tok in enumerate(raw):
                 try:
@@ -213,12 +190,9 @@ def load_tabular_csv(features_path: str, targets_path: str,
                     raise FormatError(
                         f"{features_path}: row {i + 2}, column {col!r}: "
                         f"cannot parse {tok!r} as a number") from None
-            mean = float(vals.mean())
-            std = float(vals.std())
-            out = (vals - mean) / std if std > 0 else np.zeros_like(vals)
+            std = vals.std()
+            out = (vals - vals.mean()) / std if std > 0 else np.zeros_like(vals)
             blocks.append(out[:, None])
-            feature_names.append(col)
-            norms[col] = (mean, std)
         else:
             cats = sorted(set(raw))
             lut = {c: k for k, c in enumerate(cats)}
@@ -226,7 +200,6 @@ def load_tabular_csv(features_path: str, targets_path: str,
             for i, tok in enumerate(raw):
                 onehot[i, lut[tok]] = 1.0
             blocks.append(onehot)
-            feature_names.extend(f"{col}={c}" for c in cats)
 
     label_names = t_header[1:]
     y = np.zeros((n, len(label_names)), dtype=np.float32)
@@ -241,10 +214,7 @@ def load_tabular_csv(features_path: str, targets_path: str,
                     f"targets must be 0 or 1, found {tok!r}")
             y[i, j] = float(tok)
 
-    x = np.concatenate(blocks, axis=1).astype(np.float32)
-    meta = {"feature_names": feature_names, "label_names": label_names,
-            "normalization": norms}
-    return Dataset(x, y, name=name, meta=meta)
+    return Dataset(np.concatenate(blocks, axis=1).astype(np.float32), y)
 
 
 def _proportional_counts(sizes: np.ndarray, frac: float) -> np.ndarray:
@@ -256,27 +226,16 @@ def _proportional_counts(sizes: np.ndarray, frac: float) -> np.ndarray:
 
 
 def split_dataset(ds: Dataset, val_fraction: float, seed: int = 0):
-    """(train, val) split; stratified by label for classification targets."""
+    """Seeded (train, val) split with round(N * val_fraction) rows in val,
+    each part in its own shuffled order."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0,1), got {val_fraction}")
     rng = np.random.default_rng(seed)
     n = len(ds)
-    if ds.targets.ndim == 1:
-        val_idx = []
-        for cls in np.unique(ds.targets):
-            members = np.flatnonzero(ds.targets == cls)
-            members = rng.permutation(members)
-            n_val = int(round(len(members) * val_fraction))
-            val_idx.append(members[:n_val])
-        val_idx = np.concatenate(val_idx)
-    else:
-        val_idx = rng.permutation(n)[:int(round(n * val_fraction))]
     mask = np.zeros(n, dtype=bool)
-    mask[val_idx] = True
-    train_idx = rng.permutation(np.flatnonzero(~mask))
-    val_idx = rng.permutation(np.flatnonzero(mask))
-    return (ds.take(train_idx, f"{ds.name}-train"),
-            ds.take(val_idx, f"{ds.name}-val"))
+    mask[rng.permutation(n)[:int(round(n * val_fraction))]] = True
+    return (ds.take(rng.permutation(np.flatnonzero(~mask))),
+            ds.take(rng.permutation(np.flatnonzero(mask))))
 
 
 def subset_dataset(ds: Dataset, n: int, seed: int = 0) -> Dataset:
@@ -290,14 +249,14 @@ def subset_dataset(ds: Dataset, n: int, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     if ds.targets.ndim != 1:
         idx = rng.permutation(total)[:n]
-        return ds.take(np.sort(idx), f"{ds.name}-sub{n}")
+        return ds.take(np.sort(idx))
     classes, sizes = np.unique(ds.targets, return_counts=True)
     picks = []
     for cls, take in zip(classes, _proportional_counts(sizes, n / total)):
         members = np.flatnonzero(ds.targets == cls)
         picks.append(rng.permutation(members)[:take])
     idx = rng.permutation(np.concatenate(picks))
-    return ds.take(idx, f"{ds.name}-sub{n}")
+    return ds.take(idx)
 
 
 def synthetic_multilabel(n: int, n_features: int = 20, n_labels: int = 5,
@@ -308,14 +267,8 @@ def synthetic_multilabel(n: int, n_features: int = 20, n_labels: int = 5,
     x = rng.standard_normal((n, n_features))
     w = rng.standard_normal((n_features, n_labels))
     scores = x @ w + 0.5 * rng.standard_normal((n, n_labels))
-    prev = np.broadcast_to(np.asarray(prevalence, dtype=np.float64),
-                           (n_labels,))
-    y = np.zeros((n, n_labels), dtype=np.float32)
-    for j in range(n_labels):
-        thresh = np.quantile(scores[:, j], 1.0 - prev[j])
-        y[:, j] = (scores[:, j] > thresh).astype(np.float32)
-    return Dataset(x.astype(np.float32), y, name="multilabel",
-                   meta={"prevalence": prev.tolist()})
+    thresh = np.quantile(scores, 1.0 - prevalence, axis=0)
+    return Dataset(x.astype(np.float32), (scores > thresh).astype(np.float32))
 
 
 _GLYPHS = {
@@ -359,7 +312,6 @@ def write_synthetic_mnist(dir_path: str, n_train: int = 4000,
     os.makedirs(dir_path, exist_ok=True)
     xtr, ytr = synthetic_digits(n_train, seed=seed)
     xte, yte = synthetic_digits(n_test, seed=seed + 1)
-    write_idx_images(os.path.join(dir_path, MNIST_FILES["train"][0]), xtr)
-    write_idx_labels(os.path.join(dir_path, MNIST_FILES["train"][1]), ytr)
-    write_idx_images(os.path.join(dir_path, MNIST_FILES["test"][0]), xte)
-    write_idx_labels(os.path.join(dir_path, MNIST_FILES["test"][1]), yte)
+    for split, arrays in (("train", (xtr, ytr)), ("test", (xte, yte))):
+        for name, arr in zip(MNIST_FILES[split], arrays):
+            write_idx(os.path.join(dir_path, name), arr)

@@ -334,6 +334,14 @@ def format_on_off(flag: bool) -> str:
     return "on" if flag else "off"
 
 
+def parse_seed(text: str) -> int:
+    """A seed: an integer >= 0, as ``np.random.default_rng`` takes."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def model_config(model: ModelGraph) -> dict[str, str]:
     """Flat text-serialisable description sufficient to rebuild the graph."""
     meta = model.meta
@@ -382,7 +390,7 @@ def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
         except ValueError as exc:
             raise ConfigError(f"bad {key}={cfg[key]!r}: {exc}") from None
 
-    seed = get("seed", int, 0)
+    seed = get("seed", parse_seed, 0)
     spec = None
     if "family" in cfg:
         spec = SplineSpec(cfg["family"], get("grid", int, 5),

@@ -37,7 +37,7 @@ from .errors import ConfigError
 from .evaluation import (finetune_pruned, latency_profile, prune_channels_l2)
 from .layers import one_thread
 from .models import (build_lenet_kan_full, format_on_off, parse_on_off,
-                     read_key_values)
+                     parse_seed, read_key_values)
 from .splines import SplineSpec, bspline_spec, rbf_spec
 from .training import EarlyStopper, FitResult, fit
 
@@ -84,7 +84,7 @@ _FIELDS = {
     "relu_options": _list_of(parse_on_off), "prune_ratios": _list_of(float),
     "family": str, "degree": int, "epochs": int, "batch_size": int,
     "lr": float, "finetune_epochs": int, "early_stop_tolerance": int,
-    "seed": int, "subset": int, "latency_batch": int,
+    "seed": parse_seed, "subset": int, "latency_batch": int,
     "latency_warmup": int, "latency_iters": int,
 }
 
@@ -120,6 +120,8 @@ def validate_sweep_config(cfg: SweepConfig) -> None:
         raise ConfigError("epochs and finetune_epochs must be >= 1")
     if cfg.batch_size < 1 or cfg.early_stop_tolerance < 0:
         raise ConfigError("batch_size must be >= 1 and early_stop_tolerance >= 0")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.subset is not None and cfg.subset < 1:
         raise ConfigError(f"subset must be >= 1, got {cfg.subset}")
     if not (cfg.grid_sizes and cfg.width_mults and cfg.relu_options

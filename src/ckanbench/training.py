@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ConsistencyError, DimensionError
 
 BCE_EPS = 1e-7
 
@@ -223,6 +223,10 @@ def fit(model, train, val, epochs: int, batch_size: int = 128,
     for kind, ds in (("training", train), ("validation", val)):
         if len(ds) == 0:
             raise ConfigError(f"the {kind} set is empty")
+        if ds.inputs.shape[1:] != model.input_shape:
+            raise ConsistencyError(
+                f"the {kind} set's samples have shape {ds.inputs.shape[1:]}, "
+                f"but {model.name} takes {model.input_shape}")
     task = _task_of(model)
     loss_fn = bce_multilabel if task == "multilabel" else softmax_cross_entropy
     rng = np.random.default_rng(seed)

@@ -21,8 +21,7 @@ def blobs(n: int, classes: int = 3, dim: int = 2, seed: int = 0) -> Dataset:
         centers *= 3.0 / dist.min()
     labels = rng.permutation(np.arange(n) % classes)
     x = centers[labels] + 0.15 * rng.standard_normal((n, dim))
-    return Dataset(x.astype(np.float32), labels.astype(np.int64),
-                   name="blobs", meta={"classes": classes})
+    return Dataset(x.astype(np.float32), labels.astype(np.int64))
 
 
 def basis(x, spec):

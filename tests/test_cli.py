@@ -18,6 +18,35 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def write_tabular(data_dir, n_rows, n_features, n_labels, rng):
+    """features.csv / targets.csv of random values under ``data_dir``."""
+    data_dir.mkdir(exist_ok=True)
+    feats = rng.standard_normal((n_rows, n_features))
+    labels = rng.integers(0, 2, (n_rows, n_labels))
+    with open(data_dir / "features.csv", "w") as fh:
+        fh.write(",".join(["id"] + [f"f{j}" for j in range(n_features)]) + "\n")
+        for i, row in enumerate(feats):
+            fh.write(",".join([f"r{i}"] + [f"{v:.4f}" for v in row]) + "\n")
+    with open(data_dir / "targets.csv", "w") as fh:
+        fh.write(",".join(["id"] + [f"l{j}" for j in range(n_labels)]) + "\n")
+        for i, row in enumerate(labels):
+            fh.write(",".join([f"r{i}"] + [str(v) for v in row]) + "\n")
+    return str(data_dir)
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--model", "lenet"),
+    ("profile", "--model", "lenet"),
+    ("train", "--model", "lenet", "--data", "d"),
+    ("prune", "--checkpoint", "c", "--ratio", "0.1", "--data", "d"),
+    ("sweep", "--data", "d", "--out-dir", "o"),
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_1(argv, capsys):
+    assert run_cli(*argv, "--seed", "-1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --seed") and "Traceback" not in err
+
+
 class TestCount:
     def test_lenet_exact(self, capsys):
         assert run_cli("count", "--model", "lenet") == 0
@@ -203,6 +232,47 @@ class TestProfile:
         assert run_cli("profile", "--iters", "2") == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_model_and_checkpoint_exclude_each_other(self, tmp_path, capsys):
+        assert run_cli("profile", "--model", "lenet", "--checkpoint",
+                       str(tmp_path), "--iters", "2") == 1
+        assert "not allowed with argument --model" in capsys.readouterr().err
+
+
+class TestDataOfTheWrongShape:
+    """Data the model cannot take is a data error (exit 2)."""
+
+    def test_train_lenet_on_32px_images(self, tmp_path, capsys):
+        from ckanbench.data import MNIST_FILES, write_idx
+        for split, n in (("train", 8), ("test", 4)):
+            images, labels = MNIST_FILES[split]
+            write_idx(str(tmp_path / images), np.zeros((n, 32, 32), np.uint8))
+            write_idx(str(tmp_path / labels), np.arange(n, dtype=np.uint8))
+        code = run_cli("train", "--model", "lenet", "--data", str(tmp_path),
+                       "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert "(1, 32, 32)" in err and "(1, 28, 28)" in err
+
+    @pytest.mark.parametrize("n_features,n_labels,want", [
+        (2, 2, "(2,)"), (3, 3, "targets"),
+    ], ids=["features", "labels"])
+    def test_prune_tabular_checkpoint(self, tmp_path, capsys, rng,
+                                      n_features, n_labels, want):
+        ckpt = str(tmp_path / "ckpt")
+        assert run_cli("train", "--model", "tabular-cnn", "--data",
+                       write_tabular(tmp_path / "fit", 48, 3, 2, rng),
+                       "--epochs", "1", "--batch", "16", "--out", ckpt) == 0
+        capsys.readouterr()
+        code = run_cli("prune", "--checkpoint", ckpt, "--ratio", "0.25",
+                       "--data", write_tabular(tmp_path / "other", 40,
+                                               n_features, n_labels, rng),
+                       "--batch", "16")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert want in err
+
 
 class TestPrune:
     @pytest.fixture()
@@ -313,10 +383,12 @@ class TestMalformedCheckpointConfig:
     @pytest.mark.parametrize("text,key", [
         ("arch=tabular_cnn\nseed=0\n", "n_features"),
         ("arch=lenet\nseed=x\n", "seed"),
+        ("arch=lenet\nseed=-1\n", "seed"),
         ("arch=lenet_kan_full\nfamily=rbf\ndomain=1\n", "domain"),
         ("arch=lenet\nrelu=yes\n", "relu"),
         ("arch=lenet\nwidth_mult=0\n", "width_mult"),
-    ], ids=["no-n_features", "bad-seed", "bad-domain", "bad-relu", "bad-width"])
+    ], ids=["no-n_features", "bad-seed", "negative-seed", "bad-domain",
+            "bad-relu", "bad-width"])
     @pytest.mark.parametrize("command", [
         ("profile", "--iters", "1", "--warmup", "0"),
         ("prune", "--ratio", "0.1", "--finetune-epochs", "0"),

@@ -22,7 +22,7 @@ def _tiny_image_blobs(seed=0):
     from ckanbench.data import Dataset, split_dataset
     ds = blobs(240, classes=3, dim=4, seed=seed)
     ds = Dataset(ds.inputs.reshape(-1, 1, 2, 2).astype(np.float32),
-                 ds.targets, name="blobs4")
+                 ds.targets)
     return split_dataset(ds, 0.25, seed=1)
 
 

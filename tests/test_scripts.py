@@ -1,14 +1,17 @@
 """The scripts and ``ckanbench`` commands README names exist and parse
-their flags."""
+their flags, and the offline-corpus script runs end to end."""
 
 import importlib.util
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from ckanbench.cli import build_parser
+from ckanbench.data import MNIST_FILES
 from conftest import REPO_ROOT
 
 
@@ -57,3 +60,16 @@ def test_readme_commands_parse():
     assert commands
     for command in commands:
         build_parser().parse_args(shlex.split(command, comments=True)[1:])
+
+
+def test_make_synthetic_mnist_writes_a_loadable_corpus(tmp_path):
+    out = tmp_path / "synth"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO_ROOT, "scripts",
+                                      "make_synthetic_mnist.py"),
+         "--out", str(out), "--n-train", "20", "--n-test", "10"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == (f"wrote {out}: train (20, 1, 28, 28), "
+                           f"test (10, 1, 28, 28)\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        name for pair in MNIST_FILES.values() for name in pair)

@@ -113,6 +113,7 @@ class TestConfigParsing:
             SweepConfig(batch_size=0),
             SweepConfig(early_stop_tolerance=-1),
             SweepConfig(subset=0),
+            SweepConfig(seed=-1),
         ]
         for cfg in bad:
             with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from ckanbench.data import Dataset
-from ckanbench.errors import ConfigError, DimensionError
+from ckanbench.errors import ConfigError, ConsistencyError, DimensionError
 from ckanbench.layers import Activation, Linear
 from ckanbench.models import ModelGraph, build_lenet_kan
 from ckanbench.splines import bspline_spec
@@ -233,6 +233,15 @@ class TestFit:
         sets = dict(zip(("training", "validation"), self._blob_data()))
         sets[empty] = sets[empty].take(np.arange(0))
         with pytest.raises(ConfigError, match=f"{empty} set is empty"):
+            fit(tiny_classifier(8, 3), sets["training"], sets["validation"],
+                epochs=1)
+
+    @pytest.mark.parametrize("wrong", ["training", "validation"])
+    def test_sample_shape_must_be_the_models(self, wrong):
+        sets = dict(zip(("training", "validation"), self._blob_data()))
+        sets[wrong] = Dataset(sets[wrong].inputs[:, :6], sets[wrong].targets)
+        with pytest.raises(ConsistencyError,
+                           match=rf"{wrong} set's samples .*\(6,\).*\(8,\)"):
             fit(tiny_classifier(8, 3), sets["training"], sets["validation"],
                 epochs=1)
 
