@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Subcommands: train, sweep, profile, count, prune.  Exit codes: 0 on
-success, 1 for configuration/flag errors, 2 for data errors (data of the
-wrong shape included), 3 when a sweep completed but one or more cells
-failed.
+success, 1 for configuration/flag errors (a model flag the model never
+reads included), 2 for data errors (data of the wrong shape included), 3
+when a sweep completed but one or more cells failed.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from . import checkpoint as ckpt
 from . import data as dio
 from . import models as M
 from .errors import ConfigError, ConsistencyError, DimensionError, FormatError
-from .evaluation import (apply_prune_mask, finetune_pruned, latency_profile,
-                         prune_channels_l2)
+from .evaluation import latency_profile, prune_channels_l2
 from .sweep import default_sweep_config, parse_sweep_config, run_sweep
-from .training import EarlyStopper, fit
+from .training import fit
 
 TRAINABLE = ("lenet", "lenet-kan", "lenet-kan-full", "tabular-cnn", "tabular-kan")
 COUNTABLE = TRAINABLE + ("alexnet", "alexnet-kan")
@@ -33,33 +32,61 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# each model flag but --seed: (the config key it sets, its default)
+_MODEL_FLAGS = {"basis": ("family", "bspline"), "grid": ("grid", 5),
+                "degree": ("degree", 3), "width_mult": ("width_mult", 1.0),
+                "relu": ("relu", "on"), "n_features": ("n_features", 875),
+                "n_labels": ("n_labels", 206)}
+
+
 def _add_model_flags(p: argparse.ArgumentParser, widths: bool = False) -> None:
-    """The flags that pick a model; ``widths`` adds a tabular model's
-    --n-features / --n-labels, for the commands that read no data."""
-    p.add_argument("--basis", choices=("bspline", "rbf"), default="bspline")
-    p.add_argument("--grid", type=int, default=5)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--width-mult", type=float, default=1.0)
-    p.add_argument("--relu", choices=("on", "off"), default="on")
+    """The flags that pick a model, unset unless given; ``widths`` adds a
+    tabular model's --n-features / --n-labels, for the commands that read
+    no data."""
+    p.add_argument("--basis", choices=("bspline", "rbf"))
+    p.add_argument("--grid", type=int)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--width-mult", type=float)
+    p.add_argument("--relu", choices=("on", "off"))
     p.add_argument("--seed", type=M.parse_seed, default=0)
     if widths:
-        p.add_argument("--n-features", type=int, default=875,
-                       help="tabular models only")
-        p.add_argument("--n-labels", type=int, default=206,
-                       help="tabular models only")
+        p.add_argument("--n-features", type=int, help="tabular models only")
+        p.add_argument("--n-labels", type=int, help="tabular models only")
+
+
+def _refuse_unread_flags(args, keys, reader: str) -> None:
+    """A model flag given whose config key is not in ``keys``, the keys
+    ``reader`` reads, is a usage error."""
+    for flag, (key, _) in _MODEL_FLAGS.items():
+        if getattr(args, flag, None) is not None and key not in keys:
+            raise ConfigError(f"argument --{flag.replace('_', '-')}: "
+                              f"{reader} does not read it")
 
 
 def _build_from_args(model_name: str, args):
-    """Build a model from its CLI flags through ``build_from_config``."""
+    """Build a model from its CLI flags through ``build_from_config``; an
+    unset flag takes its default.  A flag the model's config has no key
+    for, or --degree for an rbf basis, is a usage error."""
+    def get(flag):
+        value = getattr(args, flag, None)
+        return _MODEL_FLAGS[flag][1] if value is None else value
+
+    basis = get("basis")
     cfg = {
         "arch": model_name.replace("-", "_"), "seed": str(args.seed),
-        "width_mult": repr(args.width_mult), "relu": args.relu,
-        "family": args.basis, "grid": str(args.grid),
-        "degree": str(args.degree if args.basis == "bspline" else 0),
+        "width_mult": repr(get("width_mult")), "relu": get("relu"),
+        "family": basis, "grid": str(get("grid")),
+        "degree": str(get("degree") if basis == "bspline" else 0),
     }
     if model_name.startswith("tabular"):
-        cfg.update(n_features=str(args.n_features), n_labels=str(args.n_labels))
-    return M.build_from_config(cfg)
+        cfg.update(n_features=str(get("n_features")),
+                   n_labels=str(get("n_labels")))
+    model = M.build_from_config(cfg)
+    keys = set(M.model_config(model))
+    if basis != "bspline":
+        keys.discard("degree")
+    _refuse_unread_flags(args, keys, model_name)
+    return model
 
 
 def _load_train_val(model_name: str, args):
@@ -109,7 +136,7 @@ def cmd_train(args) -> int:
     result = fit(model, train, val, epochs=args.epochs,
                  batch_size=args.batch, lr=args.lr,
                  weight_decay=args.weight_decay,
-                 stopper=EarlyStopper(args.early_stop_tolerance),
+                 early_stop_tolerance=args.early_stop_tolerance,
                  seed=args.seed, verbose=True)
     report = result.report
     if report.status != "ok":
@@ -137,6 +164,7 @@ def cmd_count(args) -> int:
 
 def cmd_profile(args) -> int:
     if args.checkpoint:
+        _refuse_unread_flags(args, (), "profile --checkpoint")
         model = _load_checkpoint_dir(args.checkpoint)
     else:
         model = _build_from_args(args.model, args)
@@ -149,29 +177,28 @@ def cmd_profile(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    if args.finetune_epochs < 0:
+        raise ConfigError(
+            f"--finetune-epochs must be >= 0, got {args.finetune_epochs}")
     model = _load_checkpoint_dir(args.checkpoint)
     print(f"params_before {model.param_count()}")
     print(f"macs_before {model.mac_count()}")
-    mask = prune_channels_l2(model, args.ratio)
+    prune_channels_l2(model, args.ratio)
     if args.finetune_epochs > 0:
         if not args.data:
             raise ConfigError("--finetune-epochs needs --data for fine-tuning")
-        args.model = model.meta["arch"].replace("_", "-")
-        train, val = _load_train_val(args.model, args)
+        train, val = _load_train_val(model.name, args)
         if args.subset is not None:
             train = dio.subset_dataset(train, args.subset, args.seed)
-        result = finetune_pruned(model, mask, train, val,
-                                 epochs=args.finetune_epochs,
-                                 batch_size=args.batch, lr=args.lr,
-                                 seed=args.seed, verbose=True)
+        result = fit(model, train, val, epochs=args.finetune_epochs,
+                     batch_size=args.batch, lr=args.lr, seed=args.seed,
+                     verbose=True)
         if result.report.status != "ok":
             print("fine-tune failed: non-finite loss", file=sys.stderr)
             return 3
         model.load_state(result.best_state)
         print(f"val_loss {result.report.best_val_loss:.6f}")
         print(f"val_acc {result.report.best_val_acc:.6f}")
-    else:
-        apply_prune_mask(model, mask)
     print(f"params_after {model.param_count()}")
     print(f"macs_after {model.mac_count()}")
     if args.out:

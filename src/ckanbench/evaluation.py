@@ -7,26 +7,26 @@ per class and support-weighted; any 0/0 ratio is defined as 0.
 
 Pruning is structured: whole output channels of spline-kernel conv
 layers are masked by their L2 norm over every learnable scalar of the
-channel (spline coefficients, base weight, spline gain, shift).  Masks
-never touch the final classifier, are immutable once applied (AND
-semantics), and hold during fine-tuning.
+channel (spline coefficients, base weight, spline gain, shift).
+``prune_channels_l2`` ANDs each mask into its layer's ``channel_mask``,
+so a masked channel never returns.  Masks never touch the final
+classifier, and ``training.fit`` holds them frozen while it fine-tunes.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, DimensionError, StateError
-from .training import FitResult, fit
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "MetricsBlock", "MetricsReport", "topk_metrics", "metrics_report",
     "multilabel_metrics", "LatencyProfile", "latency_profile",
-    "PruneMask", "prune_channels_l2", "apply_prune_mask", "finetune_pruned",
+    "prune_channels_l2",
 ]
 
 
@@ -157,13 +157,6 @@ def latency_profile(model, batch_size: int = 32, warmup: int = 10,
     )
 
 
-@dataclass
-class PruneMask:
-    """Boolean keep-masks per prunable layer (True = channel stays)."""
-    ratio: float
-    masks: dict = field(default_factory=dict)
-
-
 def _channel_scores(layer) -> np.ndarray:
     arrays = dict(layer.params())
     out_ch = arrays["bias"].shape[0]
@@ -174,63 +167,22 @@ def _channel_scores(layer) -> np.ndarray:
     return np.sqrt(total)
 
 
-def prune_channels_l2(model, ratio: float) -> PruneMask:
+def prune_channels_l2(model, ratio: float) -> None:
     """Mask the ceil(ratio * C) lowest-L2 output channels of every
-    spline-kernel conv layer (ties: lower index first).  The final
-    parametric layer is never pruned, and at least one channel always
-    survives per layer."""
+    spline-kernel conv layer (ties: lower index first), ANDed into the
+    layer's ``channel_mask``.  The final parametric layer is never
+    pruned, and at least one channel always survives per layer.  A model
+    with no such layer raises ConfigError."""
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"prune ratio must be in [0,1), got {ratio}")
     final = model.final_parametric_layer()
-    masks = {}
-    for layer in model.kan_conv_layers():
-        if layer is final:
-            continue
+    layers = [lyr for lyr in model.kan_conv_layers() if lyr is not final]
+    if not layers:
+        raise ConfigError(f"{model.name} has no spline-kernel conv layer to prune")
+    for layer in layers:
         scores = _channel_scores(layer)
         c = scores.shape[0]
         n_mask = min(math.ceil(ratio * c), c - 1)
-        mask = np.ones(c, dtype=bool)
         if n_mask > 0:
             order = np.argsort(scores, kind="stable")
-            mask[order[:n_mask]] = False
-        masks[layer.name] = mask
-    return PruneMask(ratio=ratio, masks=masks)
-
-
-def _layer_by_name(model, name: str):
-    for layer in model.layers:
-        if layer.name == name:
-            return layer
-    raise ConsistencyError(f"model has no layer named {name!r}")
-
-
-def apply_prune_mask(model, pmask: PruneMask) -> None:
-    """AND the mask into each layer; a masked channel can never return.
-    Every name and shape is checked before any layer changes."""
-    layers = {name: _layer_by_name(model, name) for name in pmask.masks}
-    for name, mask in pmask.masks.items():
-        current = getattr(layers[name], "channel_mask", None)
-        if current is None:
-            raise ConsistencyError(f"{name}: layer has no channel mask")
-        if mask.shape != current.shape:
-            raise ConsistencyError(
-                f"{name}: mask shape {mask.shape} != {current.shape}")
-    for name, mask in pmask.masks.items():
-        layers[name].channel_mask = layers[name].channel_mask & mask
-
-
-def finetune_pruned(model, pmask: PruneMask, train, val, epochs: int = 1,
-                    **fit_kwargs) -> FitResult:
-    """Apply the mask and fine-tune; the mask is verified unchanged after
-    every epoch and the masked channels receive zero gradient throughout."""
-    apply_prune_mask(model, pmask)
-    frozen = {name: _layer_by_name(model, name).channel_mask.copy()
-              for name in pmask.masks}
-
-    def check_mask(m, _epoch):
-        for name, expect in frozen.items():
-            if not np.array_equal(_layer_by_name(m, name).channel_mask, expect):
-                raise StateError(f"channel mask of {name} changed during fine-tune")
-
-    return fit(model, train, val, epochs=epochs, epoch_end=check_mask,
-               **fit_kwargs)
+            layer.channel_mask[order[:n_mask]] = False

@@ -187,13 +187,6 @@ def _layer_kinds(spec: SplineSpec | None, dtype, conv_cls=L.Conv2D,
             lambda i, *a: L.KanLinear(*a, spec=spec, dtype=dtype, name=f"kfc{i}"))
 
 
-def _meta(arch: str, spec: SplineSpec | None, **fields) -> dict:
-    meta = {"arch": arch, **fields}
-    if spec is not None:
-        meta["spec"] = spec
-    return meta
-
-
 def _lenet(arch: str, widths, w: float, relu_on: bool, seed: int, dtype,
            conv_spec: SplineSpec = None, fc_spec: SplineSpec = None) -> ModelGraph:
     """The LeNet-5 layout on 28x28 grayscale input: two 5x5 conv stages,
@@ -214,7 +207,7 @@ def _lenet(arch: str, widths, w: float, relu_on: bool, seed: int, dtype,
         fc(2, f1, f2), L.Activation(act, name="act4"),
         fc(3, f2, 10),
     ]
-    meta = _meta(arch, conv_spec, width_mult=w, relu=relu_on)
+    meta = {"spec": conv_spec, "width_mult": w, "relu": relu_on}
     return ModelGraph(arch, lyrs, (1, 28, 28), meta=meta, seed=seed)
 
 
@@ -284,7 +277,7 @@ def build_alexnet(kan: bool = False, spec: SplineSpec = None, seed: int = 0,
         fc(3, f, 1000),
     ]
     arch = "alexnet_kan" if kan else "alexnet"
-    return ModelGraph(arch, lyrs, (3, 224, 224), meta=_meta(arch, spec), seed=seed)
+    return ModelGraph(arch, lyrs, (3, 224, 224), meta={"spec": spec}, seed=seed)
 
 
 def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
@@ -317,7 +310,7 @@ def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
         L.Activation("sigmoid", name="out"),
     ]
     arch = "tabular_kan" if kan else "tabular_cnn"
-    meta = _meta(arch, spec, n_features=n_features, n_labels=n_labels)
+    meta = {"spec": spec, "n_features": n_features, "n_labels": n_labels}
     return ModelGraph(arch, lyrs, (n_features,), output_kind="probs", meta=meta,
                       seed=seed)
 
@@ -345,7 +338,7 @@ def parse_seed(text: str) -> int:
 def model_config(model: ModelGraph) -> dict[str, str]:
     """Flat text-serialisable description sufficient to rebuild the graph."""
     meta = model.meta
-    cfg = {"arch": meta["arch"], "seed": str(model.seed)}
+    cfg = {"arch": model.name, "seed": str(model.seed)}
     if "width_mult" in meta:
         cfg["width_mult"] = repr(float(meta["width_mult"]))
         cfg["relu"] = format_on_off(meta["relu"])

@@ -34,12 +34,12 @@ import numpy as np
 
 from .data import Dataset, subset_dataset
 from .errors import ConfigError
-from .evaluation import (finetune_pruned, latency_profile, prune_channels_l2)
+from .evaluation import latency_profile, prune_channels_l2
 from .layers import one_thread
 from .models import (build_lenet_kan_full, format_on_off, parse_on_off,
                      parse_seed, read_key_values)
 from .splines import SplineSpec, bspline_spec, rbf_spec
-from .training import EarlyStopper, FitResult, fit
+from .training import FitResult, fit
 
 CELL_COLUMNS = ["g", "w", "relu", "p"]
 RUNS_COLUMNS = CELL_COLUMNS + ["val_loss", "val_acc", "params", "macs",
@@ -169,7 +169,7 @@ def train_base(cell: SweepCell, cfg: SweepConfig, train: Dataset,
     (g, w, relu) branches from."""
     return fit(_build_model(cell, cfg), train, val, epochs=cfg.epochs,
                batch_size=cfg.batch_size, lr=cfg.lr,
-               stopper=EarlyStopper(cfg.early_stop_tolerance),
+               early_stop_tolerance=cfg.early_stop_tolerance,
                seed=cfg.seed, verbose=verbose)
 
 
@@ -200,11 +200,10 @@ def run_cell(cell: SweepCell, cfg: SweepConfig, train: Dataset, val: Dataset,
     model = _build_model(cell, cfg)
     model.load_state(base.best_state)
     if cell.p > 0.0:
-        mask = prune_channels_l2(model, cell.p)
-        branch = finetune_pruned(model, mask, train, val,
-                                 epochs=cfg.finetune_epochs,
-                                 batch_size=cfg.batch_size, lr=cfg.lr,
-                                 seed=cfg.seed + 1, verbose=verbose)
+        prune_channels_l2(model, cell.p)
+        branch = fit(model, train, val, epochs=cfg.finetune_epochs,
+                     batch_size=cfg.batch_size, lr=cfg.lr,
+                     seed=cfg.seed + 1, verbose=verbose)
         if branch.report.status != "ok":
             return failed("fine-tuning diverged: non-finite loss")
     result.val_loss = float(branch.report.best_val_loss)
@@ -296,13 +295,15 @@ def run_sweep(cfg: SweepConfig, train: Dataset, val: Dataset, out_dir: str,
     """Run every cell and write runs.csv / frontier.csv / radar.csv /
     summary.json under out_dir.  Results come back in grid order."""
     validate_sweep_config(cfg)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     cells = enumerate_grid(cfg)
     if cfg.subset is not None:
         train = subset_dataset(train, cfg.subset, cfg.seed)
     # p varies fastest, so each run of len(prune_ratios) cells is one base
     n = len(cfg.prune_ratios)
     bases = [cells[i:i + n] for i in range(0, len(cells), n)]
-    if workers <= 1:
+    if workers == 1:
         per_base = [_run_base(b, cfg, train, val, verbose) for b in bases]
     else:
         ctx = mp.get_context("fork")

@@ -1,10 +1,11 @@
-"""Losses, the Adam optimizer, early stopping, and the training loop.
+"""Losses, the Adam optimizer, and the training loop.
 
 All gradients are exact analytic derivatives of the implemented forward
 passes; the suite verifies them against central finite differences in
 float64.  ``fit`` is deterministic for a fixed seed: the data order, the
 parameter initialisation (owned by the model builder), and the update
-math contain no other entropy sources.
+math contain no other entropy sources.  ``fit`` also owns early stopping
+and holds the model's non-trainable state (the channel masks) frozen.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, DimensionError
+from .errors import ConfigError, ConsistencyError, DimensionError, StateError
 
 BCE_EPS = 1e-7
 
@@ -120,29 +121,6 @@ def adam_step(state: AdamState, named_params, named_grads,
 
 
 @dataclass
-class EarlyStopper:
-    """Stop once validation loss has gone ``tolerance`` consecutive
-    epochs without a strict improvement over the best seen; a tolerance
-    of 0 never stops."""
-
-    tolerance: int = 3
-    best: float = math.inf
-    counter: int = 0
-
-    def __post_init__(self):
-        if self.tolerance < 0:
-            raise ConfigError(f"early-stop tolerance must be >= 0, got {self.tolerance}")
-
-    def update(self, val_loss: float) -> bool:
-        if val_loss < self.best:
-            self.best = val_loss
-            self.counter = 0
-        else:
-            self.counter += 1
-        return 0 < self.tolerance <= self.counter
-
-
-@dataclass
 class EpochRecord:
     epoch: int
     train_loss: float
@@ -206,20 +184,32 @@ def evaluate_model(model, dataset, batch_size: int = 512):
     return loss, acc
 
 
+def _frozen_state(model) -> dict[str, np.ndarray]:
+    """Copies of the model's non-trainable state: its channel masks."""
+    return {f"{lyr.name}.{name}": arr.copy()
+            for lyr in model.layers for name, arr in lyr.state_extra()}
+
+
 def fit(model, train, val, epochs: int, batch_size: int = 128,
         lr: float = 1e-3, weight_decay: float = 0.0,
-        stopper: EarlyStopper | None = None, seed: int = 0,
-        epoch_end=None, verbose: bool = False) -> FitResult:
+        early_stop_tolerance: int = 0, seed: int = 0,
+        verbose: bool = False) -> FitResult:
     """Train with Adam; returns the per-epoch report and the state dict
     of the best-validation-loss epoch.
 
-    A non-finite train or validation loss marks the run ``failed`` and
-    stops immediately; the partial report is still returned.
+    Training stops once ``early_stop_tolerance`` epochs in a row bring no
+    strict improvement of the best validation loss; 0 never stops.  A
+    non-finite train or validation loss marks the run ``failed`` and
+    stops immediately; the partial report is still returned.  An epoch
+    that changes the model's non-trainable state raises StateError.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    if early_stop_tolerance < 0:
+        raise ConfigError(
+            f"early-stop tolerance must be >= 0, got {early_stop_tolerance}")
     for kind, ds in (("training", train), ("validation", val)):
         if len(ds) == 0:
             raise ConfigError(f"the {kind} set is empty")
@@ -235,6 +225,7 @@ def fit(model, train, val, epochs: int, batch_size: int = 128,
     n = train.inputs.shape[0]
     report = RunReport(model=model.name, task=task, epochs=[])
     best_state = model.state_dict()
+    frozen = _frozen_state(model)
     t_start = time.perf_counter()
     for epoch in range(epochs):
         t0 = time.perf_counter()
@@ -258,6 +249,9 @@ def fit(model, train, val, epochs: int, batch_size: int = 128,
         if verbose:
             print(f"epoch {epoch}: train {train_loss:.4f} "
                   f"val {val_loss:.4f} acc {val_acc:.4f} ({rec.wall_s:.1f}s)")
+        for name, arr in _frozen_state(model).items():
+            if not np.array_equal(arr, frozen[name]):
+                raise StateError(f"{name} changed during training")
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             report.status = "failed"
             break
@@ -266,9 +260,7 @@ def fit(model, train, val, epochs: int, batch_size: int = 128,
             report.best_val_acc = val_acc
             report.best_epoch = epoch
             best_state = model.state_dict()
-        if epoch_end is not None:
-            epoch_end(model, epoch)
-        if stopper is not None and stopper.update(val_loss):
+        if 0 < early_stop_tolerance <= epoch - report.best_epoch:
             break
     report.wall_s = time.perf_counter() - t_start
     return FitResult(report=report, best_state=best_state)

@@ -225,7 +225,7 @@ def multilabel_metrics_naive(probs, targets, threshold=0.5):
 
 def masked_scalar_count(model) -> int:
     """Learnable scalars belonging to currently masked channels, over every
-    layer that carries a channel mask (``apply_prune_mask`` accepts any)."""
+    layer that carries a channel mask, spline linear layers included."""
     total = 0
     for layer in model.layers:
         mask = getattr(layer, "channel_mask", None)

@@ -20,8 +20,6 @@ import oracles
 from ckanbench import cli
 from ckanbench.data import load_mnist_dir, subset_dataset
 from ckanbench.evaluation import (
-    apply_prune_mask,
-    finetune_pruned,
     latency_profile,
     multilabel_metrics,
     prune_channels_l2,
@@ -50,7 +48,6 @@ from ckanbench.sweep import (
     load_runs_csv,
 )
 from ckanbench.training import (
-    EarlyStopper,
     bce_multilabel,
     fit,
     evaluate_model,
@@ -388,8 +385,7 @@ def test_criterion_08_sweep_structure():
         counts[(cell.g, cell.w, cell.relu, cell.p)] = (params, macs)
         assert lo <= params <= hi, f"cell {cell}: {params} outside [{lo:.0f}, {hi:.0f}]"
         if cell.p > 0:
-            pmask = prune_channels_l2(model, cell.p)
-            apply_prune_mask(model, pmask)
+            prune_channels_l2(model, cell.p)
             assert model.param_count() < params
             assert model.mac_count() < macs
 
@@ -439,8 +435,7 @@ def test_criterion_09_prune_param_cut():
     model = build_lenet_kan_full(spec=cfg.spline_spec(8), width_mult=1.5,
                                  relu_on=True, seed=0)
     before = model.param_count()
-    pmask = prune_channels_l2(model, 0.25)
-    apply_prune_mask(model, pmask)
+    prune_channels_l2(model, 0.25)
     cut = oracles.masked_scalar_count(model)
     assert model.param_count() == before - cut
     frac = cut / before
@@ -464,7 +459,7 @@ def test_criterion_09_prune_accuracy_retention(mnist_dir):
     twin = build_lenet_kan_full(spec=cfg.spline_spec(8), width_mult=1.5,
                                 relu_on=True, seed=cfg.seed)
     res_twin = fit(twin, train, val, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                   lr=cfg.lr, stopper=EarlyStopper(cfg.early_stop_tolerance),
+                   lr=cfg.lr, early_stop_tolerance=cfg.early_stop_tolerance,
                    seed=cfg.seed)
     assert res_twin.report.status == "ok"
     twin.load_state(res_twin.best_state)
@@ -473,15 +468,14 @@ def test_criterion_09_prune_accuracy_retention(mnist_dir):
     pruned = build_lenet_kan_full(spec=cfg.spline_spec(8), width_mult=1.5,
                                   relu_on=True, seed=cfg.seed)
     res_tr = fit(pruned, train, val, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                 lr=cfg.lr, stopper=EarlyStopper(cfg.early_stop_tolerance),
+                 lr=cfg.lr, early_stop_tolerance=cfg.early_stop_tolerance,
                  seed=cfg.seed)
     assert res_tr.report.status == "ok"
     pruned.load_state(res_tr.best_state)
     before = pruned.param_count()
-    pmask = prune_channels_l2(pruned, 0.25)
-    apply_prune_mask(pruned, pmask)
-    res_ft = finetune_pruned(pruned, pmask, train, val, epochs=cfg.finetune_epochs,
-                             batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed + 1)
+    prune_channels_l2(pruned, 0.25)
+    res_ft = fit(pruned, train, val, epochs=cfg.finetune_epochs,
+                 batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed + 1)
     assert res_ft.report.status == "ok"
     pruned.load_state(res_ft.best_state)
     _, pruned_acc = evaluate_model(pruned, val, batch_size=cfg.batch_size)

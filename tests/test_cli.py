@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, file artifacts, and exit codes
 (0 ok, 1 config error, 2 data error, 3 failed run)."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -32,6 +33,16 @@ def write_tabular(data_dir, n_rows, n_features, n_labels, rng):
         for i, row in enumerate(labels):
             fh.write(",".join([f"r{i}"] + [str(v) for v in row]) + "\n")
     return str(data_dir)
+
+
+def save_untrained(out_dir, model):
+    """``model``'s drawn state as a checkpoint directory under ``out_dir``."""
+    from ckanbench.checkpoint import save_checkpoint
+    from ckanbench.models import model_config, save_model_config
+
+    save_checkpoint(model, str(out_dir))
+    save_model_config(os.path.join(out_dir, "config.txt"), model_config(model))
+    return str(out_dir)
 
 
 @pytest.mark.parametrize("argv", [
@@ -97,8 +108,71 @@ class TestCount:
     def test_unknown_model_exits_1(self, capsys):
         assert run_cli("count", "--model", "resnet") == 1
 
+    @pytest.mark.parametrize("model,params,macs", [
+        ("lenet", 61706, 416520), ("lenet-kan", 45057, 630400),
+        ("lenet-kan-full", 87206, 3634920), ("alexnet", 61100840, 714188480),
+        ("alexnet-kan", 50498968, 585816800),
+        ("tabular-cnn", 6263758, 27229696), ("tabular-kan", 2712974, 15654784),
+    ])
+    def test_default_flags_print(self, capsys, model, params, macs):
+        assert run_cli("count", "--model", model) == 0
+        assert capsys.readouterr().out == f"params {params}\nmacs {macs}\n"
+
     def test_missing_subcommand_exits_1(self):
         assert run_cli() == 1
+
+
+class TestUnreadModelFlags:
+    """A model flag that the model never reads is a usage error naming it."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("count", "--model", "alexnet", "--width-mult", "3"), "--width-mult"),
+        (("count", "--model", "alexnet", "--relu", "off"), "--relu"),
+        (("count", "--model", "lenet", "--basis", "rbf"), "--basis"),
+        (("count", "--model", "lenet", "--grid", "9"), "--grid"),
+        (("count", "--model", "lenet", "--n-features", "7"), "--n-features"),
+        (("count", "--model", "lenet-kan", "--basis", "rbf", "--degree", "2"),
+         "--degree"),
+        (("count", "--model", "tabular-cnn", "--relu", "off"), "--relu"),
+        (("profile", "--model", "alexnet", "--width-mult", "3", "--batch", "1",
+          "--warmup", "0", "--iters", "1"), "--width-mult"),
+    ], ids=["alexnet-width", "alexnet-relu", "lenet-basis", "lenet-grid",
+            "lenet-n_features", "lenet_kan-rbf-degree", "tabular_cnn-relu",
+            "profile-alexnet-width"])
+    def test_count_and_profile(self, capsys, argv, flag):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: ")
+
+    @pytest.mark.parametrize("flag", [
+        ("--basis", "rbf"), ("--grid", "9"), ("--degree", "2"),
+        ("--width-mult", "3"), ("--relu", "off"), ("--n-features", "7"),
+        ("--n-labels", "3"),
+    ], ids=lambda f: f[0])
+    def test_profile_checkpoint(self, tmp_path, capsys, flag):
+        from ckanbench.models import build_lenet
+        ckpt = save_untrained(tmp_path, build_lenet())
+        assert run_cli("profile", "--checkpoint", ckpt, "--iters", "1",
+                       "--warmup", "0", *flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag[0]}: ")
+
+    def test_profile_checkpoint_reads_seed(self, tmp_path, capsys):
+        from ckanbench.models import build_lenet
+        ckpt = save_untrained(tmp_path, build_lenet())
+        assert run_cli("profile", "--checkpoint", ckpt, "--iters", "1",
+                       "--warmup", "0", "--seed", "3") == 0
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("lenet", "--basis", "rbf"), "--basis"),
+        (("lenet", "--grid", "9"), "--grid"),
+        (("lenet-kan-full", "--basis", "rbf", "--degree", "2"), "--degree"),
+    ], ids=["lenet-basis", "lenet-grid", "lenet_kan_full-rbf-degree"])
+    def test_train(self, synth_dir, capsys, argv, flag):
+        assert run_cli("train", "--model", *argv, "--data", synth_dir,
+                       "--epochs", "1", "--subset", "64") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: ")
 
 
 class TestTrain:
@@ -208,6 +282,14 @@ class TestTrain:
         assert code == 1
         assert "subset size 0" in capsys.readouterr().err
 
+    def test_negative_early_stop_tolerance_exits_1(self, synth_dir, capsys):
+        code = run_cli("train", "--model", "lenet", "--data", synth_dir,
+                       "--epochs", "1", "--subset", "64",
+                       "--early-stop-tolerance", "-1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: early-stop tolerance must be >= 0")
+
     def test_tabular_width_flags_are_not_train_flags(self, synth_dir, capsys):
         # a tabular model trains at its data's widths
         code = run_cli("train", "--model", "lenet", "--data", synth_dir,
@@ -260,7 +342,8 @@ class TestDataOfTheWrongShape:
     def test_prune_tabular_checkpoint(self, tmp_path, capsys, rng,
                                       n_features, n_labels, want):
         ckpt = str(tmp_path / "ckpt")
-        assert run_cli("train", "--model", "tabular-cnn", "--data",
+        assert run_cli("train", "--model", "tabular-kan", "--basis", "rbf",
+                       "--grid", "1", "--data",
                        write_tabular(tmp_path / "fit", 48, 3, 2, rng),
                        "--epochs", "1", "--batch", "16", "--out", ckpt) == 0
         capsys.readouterr()
@@ -320,13 +403,13 @@ class TestPrune:
 
         sizes = []
 
-        def fake_finetune(model, pmask, train, val, **k):
+        def fake_fit(model, train, val, **k):
             sizes.append(len(train))
             return FitResult(RunReport(model=model.name, task="classify",
                                        epochs=[], status="failed"),
                              model.state_dict())
 
-        monkeypatch.setattr(cli_mod, "finetune_pruned", fake_finetune)
+        monkeypatch.setattr(cli_mod, "fit", fake_fit)
         run_cli("prune", "--checkpoint", kan_checkpoint, "--ratio", "0.25",
                 "--finetune-epochs", "1", "--data", synth_dir,
                 "--subset", "96")
@@ -337,6 +420,43 @@ class TestPrune:
                        "--ratio", "0.25", "--finetune-epochs", "1")
         assert code == 1
         assert "--data" in capsys.readouterr().err
+
+    def test_negative_finetune_epochs_exits_1(self, kan_checkpoint, synth_dir,
+                                              tmp_path, capsys):
+        out_dir = tmp_path / "pruned"
+        code = run_cli("prune", "--checkpoint", kan_checkpoint,
+                       "--ratio", "0.25", "--finetune-epochs", "-1",
+                       "--data", synth_dir, "--out", str(out_dir))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --finetune-epochs must be >= 0")
+        assert not out_dir.exists()
+
+    def test_checkpoint_without_spline_convs_exits_1(self, tmp_path, capsys):
+        from ckanbench.models import build_lenet
+        ckpt = save_untrained(tmp_path / "ckpt", build_lenet())
+        out_dir = tmp_path / "pruned"
+        code = run_cli("prune", "--checkpoint", ckpt, "--ratio", "0.25",
+                       "--finetune-epochs", "0", "--out", str(out_dir))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: lenet has no spline-kernel conv layer")
+        assert not out_dir.exists()
+
+    def test_finetuned_checkpoint_bytes(self, kan_checkpoint, synth_dir,
+                                        tmp_path, capsys):
+        # pinned: a refactor of pruning or fine-tuning must not move them
+        out_dir = tmp_path / "pruned"
+        assert run_cli("prune", "--checkpoint", kan_checkpoint,
+                       "--ratio", "0.25", "--finetune-epochs", "2",
+                       "--data", synth_dir, "--subset", "128",
+                       "--batch", "64", "--out", str(out_dir)) == 0
+        out = capsys.readouterr().out
+        assert "\nval_loss 2.301997\nval_acc 0.122500\n" in out
+        assert "\nparams_after 37642\nmacs_after 371720\n" in out
+        digest = hashlib.sha256((out_dir / "params.bin").read_bytes())
+        assert digest.hexdigest() == ("4d3a72b5a21b7d4d5d5061c65fc5d02a"
+                                      "547fcbd2e0158e34abeddca120b38843")
 
     def test_not_a_checkpoint_dir_exits_2(self, tmp_path, capsys):
         code = run_cli("prune", "--checkpoint", str(tmp_path),
@@ -354,19 +474,19 @@ class TestPrune:
 
         evals, reports = [], []
         real_outputs = training.batched_outputs
-        real_finetune = cli_mod.finetune_pruned
+        real_fit = cli_mod.fit
 
         def counting_outputs(model, inputs, *a, **k):
             evals.append(len(inputs))
             return real_outputs(model, inputs, *a, **k)
 
-        def recording_finetune(*a, **k):
-            result = real_finetune(*a, **k)
+        def recording_fit(*a, **k):
+            result = real_fit(*a, **k)
             reports.append(result.report)
             return result
 
         monkeypatch.setattr(training, "batched_outputs", counting_outputs)
-        monkeypatch.setattr(cli_mod, "finetune_pruned", recording_finetune)
+        monkeypatch.setattr(cli_mod, "fit", recording_fit)
         code = run_cli("prune", "--checkpoint", kan_checkpoint,
                        "--ratio", "0.25", "--finetune-epochs", "2",
                        "--data", synth_dir, "--subset", "128",
@@ -486,6 +606,18 @@ class TestSweep:
                        "--subset", "0")
         assert code == 1
         assert "subset must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, tmp_path, synth_dir, capsys,
+                                       workers):
+        out_dir = tmp_path / "out"
+        code = run_cli("sweep", "--config", self._cfg_file(tmp_path),
+                       "--data", synth_dir, "--out-dir", str(out_dir),
+                       "--workers", workers)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: workers must be >= 1, got {workers}")
+        assert not out_dir.exists()
 
     def test_bad_config_exits_1(self, tmp_path, synth_dir, capsys):
         path = tmp_path / "sweep.cfg"

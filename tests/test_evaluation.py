@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ckanbench.errors import (ConfigError, ConsistencyError, DimensionError,
-                              StateError)
-from ckanbench.evaluation import (LatencyProfile, MetricsBlock, PruneMask,
-                                  apply_prune_mask, finetune_pruned,
+from ckanbench.errors import ConfigError, DimensionError, StateError
+from ckanbench.evaluation import (LatencyProfile, MetricsBlock,
                                   latency_profile, metrics_report,
                                   multilabel_metrics,
                                   prune_channels_l2, topk_metrics)
@@ -157,35 +155,35 @@ class TestPruning:
         for _, arr in lyr.params():
             if arr.ndim:
                 arr[3] = 0.0
-        pmask = prune_channels_l2(model, 0.2)   # ceil(0.2*6)=2 of 6
-        assert not pmask.masks["kconv1"][3]
-        assert pmask.masks["kconv1"].sum() == 4
+        prune_channels_l2(model, 0.2)   # ceil(0.2*6)=2 of 6
+        assert not lyr.channel_mask[3]
+        assert lyr.channel_mask.sum() == 4
 
     def test_mask_count_uses_ceil(self):
-        model = self._model()
         for ratio, kept in [(0.25, 4), (0.5, 3), (0.75, 1), (0.0, 6)]:
-            pmask = prune_channels_l2(model, ratio)
-            assert pmask.masks["kconv1"].sum() == kept
+            model = self._model()
+            prune_channels_l2(model, ratio)
+            assert model.kan_conv_layers()[0].channel_mask.sum() == kept
 
     def test_at_least_one_channel_survives(self):
         model = self._model()
-        pmask = prune_channels_l2(model, 0.99)
-        for mask in pmask.masks.values():
-            assert mask.sum() >= 1
+        prune_channels_l2(model, 0.99)
+        for lyr in model.kan_conv_layers():
+            assert lyr.channel_mask.sum() >= 1
 
     def test_final_layer_never_pruned(self):
         from ckanbench.models import build_lenet_kan
         model = build_lenet_kan(spec=rbf_spec(2))
-        pmask = prune_channels_l2(model, 0.5)
-        assert model.final_parametric_layer().name not in pmask.masks
+        prune_channels_l2(model, 0.5)
+        assert model.final_parametric_layer().channel_mask.all()
 
     def test_tie_break_lower_index(self):
         model = self._model()
         lyr = model.kan_conv_layers()[0]
         for _, arr in lyr.params():
             arr[...] = 1.0   # all channels identical
-        pmask = prune_channels_l2(model, 0.5)   # mask ceil(3)=3 of 6
-        np.testing.assert_array_equal(pmask.masks["kconv1"],
+        prune_channels_l2(model, 0.5)   # mask ceil(3)=3 of 6
+        np.testing.assert_array_equal(lyr.channel_mask,
                                       [False, False, False, True, True, True])
 
     def test_ratio_validation(self):
@@ -194,47 +192,29 @@ class TestPruning:
         with pytest.raises(ConfigError):
             prune_channels_l2(self._model(), -0.1)
 
+    def test_rejects_a_model_without_spline_conv_layers(self):
+        from ckanbench.models import build_lenet
+        with pytest.raises(ConfigError, match="lenet has no spline-kernel conv"):
+            prune_channels_l2(build_lenet(), 0.25)
+
     def test_apply_is_and_semantics(self):
         model = self._model()
         lyr = model.kan_conv_layers()[0]
-        lyr.channel_mask[0] = False           # pre-existing mask
-        pmask = PruneMask(ratio=0.0, masks={
-            "kconv1": np.array([True, False, True, True, True, True])})
-        apply_prune_mask(model, pmask)
-        assert not lyr.channel_mask[0]        # still masked
-        assert not lyr.channel_mask[1]
-        # re-applying an all-True mask cannot resurrect channels
-        apply_prune_mask(model, PruneMask(ratio=0.0, masks={
-            "kconv1": np.ones(6, dtype=bool)}))
-        assert not lyr.channel_mask[0] and not lyr.channel_mask[1]
-
-    def test_apply_validates_names_and_shapes(self):
-        model = self._model()
-        with pytest.raises(ConsistencyError):
-            apply_prune_mask(model, PruneMask(0.0, {"nope": np.ones(6, bool)}))
-        with pytest.raises(ConsistencyError):
-            apply_prune_mask(model, PruneMask(0.0, {"kconv1": np.ones(5, bool)}))
-
-    def test_apply_changes_nothing_when_a_later_mask_is_bad(self):
-        model = self._model()
-        k1, k2 = model.kan_conv_layers()
-        bad = PruneMask(0.0, {"kconv1": np.zeros_like(k1.channel_mask),
-                              "kconv2": np.ones(k2.out_ch + 1, dtype=bool)})
-        with pytest.raises(ConsistencyError):
-            apply_prune_mask(model, bad)
-        assert k1.channel_mask.all() and k2.channel_mask.all()
-
-    def test_apply_rejects_a_layer_without_channel_mask(self):
-        model = build_lenet_kan_full()
-        bad = PruneMask(0.0, {"fc1": np.ones(120, dtype=bool)})
-        with pytest.raises(ConsistencyError, match="fc1"):
-            apply_prune_mask(model, bad)
+        for _, arr in lyr.params():
+            arr[...] = 1.0   # ties: a prune masks the lowest indices
+        lyr.channel_mask[5] = False           # pre-existing mask
+        prune_channels_l2(model, 0.25)        # masks channels 0 and 1
+        np.testing.assert_array_equal(lyr.channel_mask,
+                                      [False, False, True, True, True, False])
+        # a prune at ratio 0 cannot resurrect channels
+        prune_channels_l2(model, 0.0)
+        np.testing.assert_array_equal(lyr.channel_mask,
+                                      [False, False, True, True, True, False])
 
     def test_param_count_drops_by_masked_scalars(self):
         model = self._model()
         before = model.param_count()
-        pmask = prune_channels_l2(model, 0.25)
-        apply_prune_mask(model, pmask)
+        prune_channels_l2(model, 0.25)
         after = model.param_count()
         assert after < before
         assert before == after + oracles.masked_scalar_count(model)
@@ -242,10 +222,8 @@ class TestPruning:
     def test_masked_scalars_count_a_kan_linear_mask(self):
         model = build_lenet_kan(rbf_spec(4))
         kfc1 = [lyr for lyr in model.layers if lyr.name == "kfc1"][0]
-        mask = np.ones(kfc1.out_features, dtype=bool)
-        mask[:3] = False
         before = model.param_count()
-        apply_prune_mask(model, PruneMask(0.0, {"kfc1": mask}))
+        kfc1.channel_mask[:3] = False
         after = model.param_count()
         assert before - after == 3 * kfc1.channel_param_count()
         assert before == after + oracles.masked_scalar_count(model)
@@ -253,35 +231,35 @@ class TestPruning:
     def test_mac_count_drops(self):
         model = self._model()
         before = model.mac_count()
-        apply_prune_mask(model, prune_channels_l2(model, 0.25))
+        prune_channels_l2(model, 0.25)
         assert model.mac_count() < before
 
     def test_masked_channel_stays_dead_through_finetune(self):
         train, val = _tiny_image_blobs(seed=0)
         model = _tiny_kan_model(seed=0)
-        pmask = prune_channels_l2(model, 0.4)
-        res = finetune_pruned(model, pmask, train, val, epochs=2,
-                              batch_size=32, seed=3)
-        assert res.report.status == "ok"
+        prune_channels_l2(model, 0.4)
         lyr = model.kan_conv_layers()[0]
-        np.testing.assert_array_equal(lyr.channel_mask, pmask.masks["k1"])
+        mask = lyr.channel_mask.copy()
+        assert not mask.all()
+        res = fit(model, train, val, epochs=2, batch_size=32, seed=3)
+        assert res.report.status == "ok"
+        np.testing.assert_array_equal(lyr.channel_mask, mask)
         out = model.forward(val.inputs[:8])
         inner = model.layers[0].forward(val.inputs[:8])
-        assert np.abs(inner[:, ~pmask.masks["k1"]]).max() == 0.0
+        assert np.abs(inner[:, ~mask]).max() == 0.0
         assert np.isfinite(out).all()
 
     def test_zero_ratio_finetune_equals_plain_fit(self):
-        # empty mask: finetune_pruned must be bit-identical to fit
+        # a prune at ratio 0 masks nothing, so its fine-tune is plain fit
         train, val = _tiny_image_blobs(seed=5)
 
         def make():
             return _tiny_kan_model(seed=2)
 
         a = make()
-        pmask = prune_channels_l2(a, 0.0)
-        assert all(m.all() for m in pmask.masks.values())
-        ra = finetune_pruned(a, pmask, train, val, epochs=2, batch_size=32,
-                             seed=9)
+        prune_channels_l2(a, 0.0)
+        assert all(lyr.channel_mask.all() for lyr in a.kan_conv_layers())
+        ra = fit(a, train, val, epochs=2, batch_size=32, seed=9)
         b = make()
         rb = fit(b, train, val, epochs=2, batch_size=32, seed=9)
         assert [e.train_loss for e in ra.report.epochs] == \
@@ -309,7 +287,6 @@ class TestPruning:
         conv = base.kan_conv_layers()[0]
         layers = base.layers[:1] + [Saboteur(conv, "sab")] + base.layers[1:]
         model = ModelGraph("t", layers, input_shape=(1, 2, 2))
-        pmask = prune_channels_l2(model, 0.4)
-        with pytest.raises(StateError):
-            finetune_pruned(model, pmask, train, val, epochs=1,
-                            batch_size=32, seed=4)
+        prune_channels_l2(model, 0.4)
+        with pytest.raises(StateError, match="k1.channel_mask changed"):
+            fit(model, train, val, epochs=1, batch_size=32, seed=4)

@@ -338,10 +338,10 @@ class TestRunSweep:
         train, val = digit_train_val
         cfg = _tiny_sweep_cfg()
         calls = []
-        _record_calls(monkeypatch, calls, "fit")
+        _record_calls(monkeypatch, calls, "train_base")
         swept = run_sweep(cfg, train, val, str(tmp_path / "sweep"), workers=1)
         # 2 bases x 2 prune levels: one training per base, not per cell
-        assert calls == ["fit", "fit"]
+        assert calls == ["train_base", "train_base"]
         sub = subset_dataset(train, cfg.subset, cfg.seed)
         for res in swept:
             alone, _ = run_cell(res.cell, cfg, sub, val,
@@ -389,7 +389,8 @@ class TestRunSweep:
         assert n_ok == 4
         assert calls.count("latency_profile") == n_ok
         if workers == 1:
-            assert calls == ["fit"] * 2 + ["latency_profile"] * n_ok
+            # 2 base trainings and 2 fine-tunes, then every latency
+            assert calls == ["fit"] * 4 + ["latency_profile"] * n_ok
         else:
             assert "fit" not in calls
 
@@ -413,6 +414,41 @@ class TestRunSweep:
                 for r in rows_s] == \
                [{k: v for k, v in r.items() if k not in timed}
                 for r in rows_f]
+
+
+class TestPinnedOutputs:
+    """Sweep columns pinned byte for byte, so a refactor of pruning,
+    fine-tuning or early stopping cannot move them."""
+
+    def test_two_bases_three_ratios_with_early_stop(self, tmp_path,
+                                                    monkeypatch,
+                                                    digit_train_val):
+        import ckanbench.sweep as sweep_mod
+
+        train, val = digit_train_val
+        cfg = _tiny_sweep_cfg(prune_ratios=[0.0, 0.25, 0.5], epochs=6,
+                              lr=4e-3, early_stop_tolerance=1)
+        base_epochs = []
+        real_train_base = sweep_mod.train_base
+
+        def counting_train_base(*args, **kwargs):
+            base = real_train_base(*args, **kwargs)
+            base_epochs.append(len(base.report.epochs))
+            return base
+
+        monkeypatch.setattr(sweep_mod, "train_base", counting_train_base)
+        run_sweep(cfg, train, val, str(tmp_path))
+        assert base_epochs == [6, 2]    # the second base stops early
+        rows = load_runs_csv(str(tmp_path / "runs.csv"))
+        cols = ("status", "val_loss", "val_acc", "params", "macs")
+        assert [[r[c] for c in cols] for r in rows] == [
+            ["ok", "1.880055", "0.325000", "24140", "200520"],
+            ["ok", "2.242940", "0.150000", "23838", "126720"],
+            ["ok", "2.242940", "0.150000", "23637", "111720"],
+            ["ok", "2.302404", "0.100000", "24390", "259720"],
+            ["ok", "2.302723", "0.100000", "24013", "161320"],
+            ["ok", "2.302723", "0.100000", "23762", "141320"],
+        ]
 
 
 def _fake_base(cell, cfg, train, val, verbose=False):

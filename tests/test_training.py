@@ -8,13 +8,14 @@ import pytest
 
 import oracles
 from ckanbench.data import Dataset
-from ckanbench.errors import ConfigError, ConsistencyError, DimensionError
+from ckanbench.errors import (ConfigError, ConsistencyError, DimensionError,
+                              StateError)
 from ckanbench.layers import Activation, Linear
 from ckanbench.models import ModelGraph, build_lenet_kan
 from ckanbench.splines import bspline_spec
-from ckanbench.training import (AdamConfig, AdamState, EarlyStopper,
-                                adam_init, adam_step, bce_multilabel,
-                                evaluate_model, fit, softmax_cross_entropy)
+from ckanbench.training import (AdamConfig, AdamState, adam_init, adam_step,
+                                bce_multilabel, evaluate_model, fit,
+                                softmax_cross_entropy)
 from support import blobs
 
 
@@ -141,35 +142,43 @@ class TestAdam:
         assert state.t == 1
 
 
-class TestEarlyStopper:
-    def test_reference_sequence(self):
-        # improvement, then 3 non-improving epochs in a row triggers stop
-        st = EarlyStopper(tolerance=3)
-        seq = [1.0, 0.9, 0.95, 0.96, 0.97]
-        flags = [st.update(v) for v in seq]
-        assert flags == [False, False, False, False, True]
+class TestEarlyStop:
+    """``fit``'s early-stop rule, on the validation losses it is fed."""
 
-    def test_counter_resets_on_strict_improvement(self):
-        st = EarlyStopper(tolerance=2)
-        assert not st.update(1.0)
-        assert not st.update(1.1)
-        assert not st.update(0.5)   # reset
-        assert not st.update(0.6)
-        assert st.update(0.7)
+    @staticmethod
+    def _epochs_run(monkeypatch, losses, tolerance):
+        import ckanbench.training as training_mod
+        feed = iter(losses)
+        monkeypatch.setattr(training_mod, "evaluate_model",
+                            lambda *a, **k: (next(feed), 0.5))
+        train = blobs(32, classes=3, dim=8, seed=0)
+        res = fit(tiny_classifier(8, 3), train, train, epochs=len(losses),
+                  batch_size=32, early_stop_tolerance=tolerance)
+        assert [e.val_loss for e in res.report.epochs] == \
+               losses[:len(res.report.epochs)]
+        return len(res.report.epochs)
 
-    def test_equal_loss_is_not_improvement(self):
-        st = EarlyStopper(tolerance=2)
-        assert not st.update(1.0)
-        assert not st.update(1.0)
-        assert st.update(1.0)
+    def test_reference_sequence(self, monkeypatch):
+        # improvement, then 3 non-improving epochs in a row stops
+        seq = [1.0, 0.9, 0.95, 0.96, 0.97, 0.5]
+        assert self._epochs_run(monkeypatch, seq, 3) == 5
 
-    def test_tolerance_zero_never_stops(self):
-        st = EarlyStopper(tolerance=0)
-        assert not any(st.update(v) for v in [1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    def test_counter_resets_on_strict_improvement(self, monkeypatch):
+        seq = [1.0, 1.1, 0.5, 0.6, 0.7, 0.1]
+        assert self._epochs_run(monkeypatch, seq, 2) == 5
+
+    def test_equal_loss_is_not_improvement(self, monkeypatch):
+        assert self._epochs_run(monkeypatch, [1.0, 1.0, 1.0, 0.5], 2) == 3
+
+    def test_tolerance_zero_never_stops(self, monkeypatch):
+        seq = [1.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert self._epochs_run(monkeypatch, seq, 0) == 6
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ConfigError):
-            EarlyStopper(tolerance=-1)
+        train = blobs(32, classes=3, dim=8, seed=0)
+        with pytest.raises(ConfigError, match="early-stop tolerance"):
+            fit(tiny_classifier(8, 3), train, train, epochs=1,
+                early_stop_tolerance=-1)
 
 
 class TestFit:
@@ -219,7 +228,7 @@ class TestFit:
         train, val = self._blob_data()
         model = tiny_classifier(8, 3, seed=5)
         res = fit(model, train, val, epochs=50, batch_size=32, lr=0.0,
-                  stopper=EarlyStopper(tolerance=2), seed=6)
+                  early_stop_tolerance=2, seed=6)
         assert len(res.report.epochs) == 3
 
     @pytest.mark.parametrize("batch", [0, -1])
@@ -262,13 +271,31 @@ class TestFit:
         res = fit(model, train, train, epochs=2, batch_size=8, seed=1)
         assert res.report.status == "failed"
 
-    def test_epoch_end_hook_runs_each_epoch(self):
+    def test_frozen_state_checked_after_each_epoch(self, capsys):
+        # non-trainable state that changes in the third epoch's training
+        # pass: fit finishes that epoch, then raises
+        class Drifting(Activation):
+            def __init__(self):
+                super().__init__("identity", name="drift")
+                self.mask = np.ones(2, dtype=bool)
+                self.passes = 0
+
+            def state_extra(self):
+                return [("mask", self.mask)]
+
+            def forward(self, x, training=True):
+                self.passes += training
+                if self.passes == 3:
+                    self.mask[0] = False
+                return super().forward(x, training=training)
+
         train, val = self._blob_data()
         model = tiny_classifier(8, 3, seed=9)
-        seen = []
-        fit(model, train, val, epochs=3, batch_size=64, seed=1,
-            epoch_end=lambda m, e: seen.append(e))
-        assert seen == [0, 1, 2]
+        model = ModelGraph("t", model.layers + [Drifting()], (8,))
+        with pytest.raises(StateError, match="drift.mask changed"):
+            fit(model, train, val, epochs=5, batch_size=len(train),
+                verbose=True)
+        assert capsys.readouterr().out.count("epoch ") == 3
 
     def test_multilabel_task_routing(self, rng):
         from ckanbench.data import synthetic_multilabel
