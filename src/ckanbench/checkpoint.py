@@ -1,5 +1,7 @@
-"""Checkpoint format: a text manifest plus one flat binary blob.
+"""Checkpoint format: a directory of the model's config, a text manifest
+and one flat binary blob.
 
+``config.txt`` holds ``ModelGraph.config`` as ``key=value`` lines.
 ``manifest.txt`` lists every stored array as ``name shape dtype`` in
 order, the dtype a boolean, integer, float or complex one; ``params.bin``
 is the concatenation of the arrays' raw little-endian bytes in exactly
@@ -12,17 +14,12 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
+from .models import build_from_config, read_key_values
 
+CONFIG_NAME = "config.txt"
 MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "params.bin"
-
-
-def _le(arr: np.ndarray) -> np.ndarray:
-    dt = arr.dtype
-    if dt.byteorder == ">":
-        return arr.astype(dt.newbyteorder("<"))
-    return arr
 
 
 def save_state(items: list[tuple[str, np.ndarray]], dir_path: str) -> None:
@@ -33,7 +30,7 @@ def save_state(items: list[tuple[str, np.ndarray]], dir_path: str) -> None:
         if arr.ndim == 0:
             raise FormatError(
                 f"{name}: zero-rank arrays are not storable; use shape (1,)")
-        arr = np.ascontiguousarray(_le(arr))
+        arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
         shape = ",".join(str(s) for s in arr.shape)
         lines.append(f"{name} {shape} {arr.dtype.name}\n")
         blobs.append(arr.tobytes())
@@ -92,7 +89,19 @@ def read_state(dir_path: str) -> dict[str, np.ndarray]:
 
 def save_checkpoint(model, dir_path: str) -> None:
     save_state(model.state_items(), dir_path)
+    with open(os.path.join(dir_path, CONFIG_NAME), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key}={val}\n" for key, val in model.config.items())
 
 
-def load_checkpoint(model, dir_path: str) -> None:
+def load_checkpoint(dir_path: str):
+    """The model a checkpoint directory describes, holding its state."""
+    cfg_path = os.path.join(dir_path, CONFIG_NAME)
+    if not os.path.exists(cfg_path):
+        raise FormatError(f"{dir_path}: no {CONFIG_NAME}; not a checkpoint directory")
+    try:
+        model = build_from_config(
+            {key: val for _, key, val in read_key_values(cfg_path)})
+    except ConfigError as exc:
+        raise FormatError(f"{cfg_path}: {exc}") from None
     model.load_state(read_state(dir_path))
+    return model

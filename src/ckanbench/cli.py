@@ -18,7 +18,8 @@ from . import data as dio
 from . import models as M
 from .errors import ConfigError, ConsistencyError, DimensionError, FormatError
 from .evaluation import latency_profile, prune_channels_l2
-from .sweep import default_sweep_config, parse_sweep_config, run_sweep
+from .sweep import (default_sweep_config, parse_sweep_config, run_sweep,
+                    validate_sweep_config)
 from .training import fit
 
 TRAINABLE = ("lenet", "lenet-kan", "lenet-kan-full", "tabular-cnn", "tabular-kan")
@@ -32,11 +33,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# each model flag but --seed: (the config key it sets, its default)
-_MODEL_FLAGS = {"basis": ("family", "bspline"), "grid": ("grid", 5),
-                "degree": ("degree", 3), "width_mult": ("width_mult", 1.0),
-                "relu": ("relu", "on"), "n_features": ("n_features", 875),
-                "n_labels": ("n_labels", 206)}
+# each model flag but --seed: the config key it sets
+_MODEL_FLAGS = {"basis": "family", "grid": "grid", "degree": "degree",
+                "width_mult": "width_mult", "relu": "relu",
+                "n_features": "n_features", "n_labels": "n_labels"}
 
 
 def _add_model_flags(p: argparse.ArgumentParser, widths: bool = False) -> None:
@@ -57,33 +57,26 @@ def _add_model_flags(p: argparse.ArgumentParser, widths: bool = False) -> None:
 def _refuse_unread_flags(args, keys, reader: str) -> None:
     """A model flag given whose config key is not in ``keys``, the keys
     ``reader`` reads, is a usage error."""
-    for flag, (key, _) in _MODEL_FLAGS.items():
+    for flag, key in _MODEL_FLAGS.items():
         if getattr(args, flag, None) is not None and key not in keys:
             raise ConfigError(f"argument --{flag.replace('_', '-')}: "
                               f"{reader} does not read it")
 
 
 def _build_from_args(model_name: str, args):
-    """Build a model from its CLI flags through ``build_from_config``; an
-    unset flag takes its default.  A flag the model's config has no key
-    for, or --degree for an rbf basis, is a usage error."""
-    def get(flag):
-        value = getattr(args, flag, None)
-        return _MODEL_FLAGS[flag][1] if value is None else value
-
-    basis = get("basis")
-    cfg = {
-        "arch": model_name.replace("-", "_"), "seed": str(args.seed),
-        "width_mult": repr(get("width_mult")), "relu": get("relu"),
-        "family": basis, "grid": str(get("grid")),
-        "degree": str(get("degree") if basis == "bspline" else 0),
-    }
+    """Build a model from the model flags given; ``build_from_config``
+    holds their defaults.  A flag the model's config has no key for, or
+    --degree for an rbf basis, is a usage error."""
+    cfg = {"arch": model_name.replace("-", "_"), "seed": str(args.seed)}
     if model_name.startswith("tabular"):
-        cfg.update(n_features=str(get("n_features")),
-                   n_labels=str(get("n_labels")))
+        cfg.update(n_features="875", n_labels="206")
+    for flag, key in _MODEL_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            cfg[key] = str(value)
     model = M.build_from_config(cfg)
-    keys = set(M.model_config(model))
-    if basis != "bspline":
+    keys = set(model.config)
+    if model.config.get("family") == "rbf":
         keys.discard("degree")
     _refuse_unread_flags(args, keys, model_name)
     return model
@@ -97,32 +90,6 @@ def _load_train_val(model_name: str, args):
     train = dio.load_mnist_dir(args.data, "train")
     val = dio.load_mnist_dir(args.data, "test")
     return train, val
-
-
-def _save_model(out_dir: str, model) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    M.save_model_config(os.path.join(out_dir, "config.txt"),
-                        M.model_config(model))
-    ckpt.save_checkpoint(model, out_dir)
-
-
-def _save_run(out_dir: str, model, report) -> None:
-    _save_model(out_dir, model)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def _load_checkpoint_dir(dir_path: str):
-    cfg_path = os.path.join(dir_path, "config.txt")
-    if not os.path.exists(cfg_path):
-        raise FormatError(f"{dir_path}: no config.txt; not a checkpoint directory")
-    try:
-        model = M.build_from_config(M.load_model_config(cfg_path))
-    except ConfigError as exc:
-        raise FormatError(f"{cfg_path}: {exc}") from None
-    ckpt.load_checkpoint(model, dir_path)
-    return model
 
 
 def cmd_train(args) -> int:
@@ -150,7 +117,11 @@ def cmd_train(args) -> int:
     print(f"macs {model.mac_count()}")
     if args.out:
         report.extra.update(params=model.param_count(), macs=model.mac_count())
-        _save_run(args.out, model, report)
+        ckpt.save_checkpoint(model, args.out)
+        with open(os.path.join(args.out, "report.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, indent=2)
+            fh.write("\n")
         print(f"saved {args.out}")
     return 0
 
@@ -165,7 +136,7 @@ def cmd_count(args) -> int:
 def cmd_profile(args) -> int:
     if args.checkpoint:
         _refuse_unread_flags(args, (), "profile --checkpoint")
-        model = _load_checkpoint_dir(args.checkpoint)
+        model = ckpt.load_checkpoint(args.checkpoint)
     else:
         model = _build_from_args(args.model, args)
     prof = latency_profile(model, batch_size=args.batch, warmup=args.warmup,
@@ -180,10 +151,11 @@ def cmd_prune(args) -> int:
     if args.finetune_epochs < 0:
         raise ConfigError(
             f"--finetune-epochs must be >= 0, got {args.finetune_epochs}")
-    model = _load_checkpoint_dir(args.checkpoint)
-    print(f"params_before {model.param_count()}")
-    print(f"macs_before {model.mac_count()}")
+    model = ckpt.load_checkpoint(args.checkpoint)
+    params, macs = model.param_count(), model.mac_count()
     prune_channels_l2(model, args.ratio)
+    print(f"params_before {params}")
+    print(f"macs_before {macs}")
     if args.finetune_epochs > 0:
         if not args.data:
             raise ConfigError("--finetune-epochs needs --data for fine-tuning")
@@ -202,7 +174,7 @@ def cmd_prune(args) -> int:
     print(f"params_after {model.param_count()}")
     print(f"macs_after {model.mac_count()}")
     if args.out:
-        _save_model(args.out, model)
+        ckpt.save_checkpoint(model, args.out)
         print(f"saved {args.out}")
     return 0
 
@@ -216,6 +188,7 @@ def cmd_sweep(args) -> int:
         cfg.subset = args.subset
     if args.seed is not None:
         cfg.seed = args.seed
+    validate_sweep_config(cfg, args.workers)
     train = dio.load_mnist_dir(args.data, "train")
     val = dio.load_mnist_dir(args.data, "test")
     results = run_sweep(cfg, train, val, args.out_dir, workers=args.workers,

@@ -23,6 +23,9 @@ Stock architectures:
 Each spline-kernel model is its classical twin's layout: the layer list
 is written once, and ``_layer_kinds`` builds ``conv{i}`` / ``fc{i}`` or,
 given a spline spec, ``kconv{i}`` / ``kfc{i}`` at the same positions.
+
+A graph carries its text description, ``ModelGraph.config``, from which
+``build_from_config`` rebuilds it; that function holds every default.
 """
 
 from __future__ import annotations
@@ -49,13 +52,13 @@ class ModelGraph:
     """
 
     def __init__(self, name: str, layers: list, input_shape: tuple,
-                 output_kind: str = "logits", meta: dict | None = None,
+                 output_kind: str = "logits", config: dict | None = None,
                  seed: int = 0):
         self.name = name
         self._layers = list(layers)
         self.input_shape = tuple(input_shape)
         self.output_kind = output_kind      # "logits" or "probs"
-        self.meta = {} if meta is None else meta
+        self.config = {"arch": name, "seed": str(seed), **(config or {})}
         self.seed = seed
         self._split = False     # whether the last forward split a call
         seen = set()
@@ -169,6 +172,15 @@ class ModelGraph:
         return None
 
 
+def _spec_config(spec: SplineSpec | None) -> dict[str, str]:
+    """The config keys of a spline spec; a classical model has none."""
+    if spec is None:
+        return {}
+    lo, hi = spec.domain
+    return {"family": spec.family.value, "grid": str(spec.grid_size),
+            "degree": str(spec.degree), "domain": f"{lo!r},{hi!r}"}
+
+
 def _layer_kinds(spec: SplineSpec | None, dtype, conv_cls=L.Conv2D,
                  kan_conv_cls=L.KanConv2D):
     """The (conv, linear) factory pair of one layer kind.
@@ -207,15 +219,15 @@ def _lenet(arch: str, widths, w: float, relu_on: bool, seed: int, dtype,
         fc(2, f1, f2), L.Activation(act, name="act4"),
         fc(3, f2, 10),
     ]
-    meta = {"spec": conv_spec, "width_mult": w, "relu": relu_on}
-    return ModelGraph(arch, lyrs, (1, 28, 28), meta=meta, seed=seed)
+    config = {"width_mult": repr(float(w)), "relu": format_on_off(relu_on),
+              **_spec_config(conv_spec)}
+    return ModelGraph(arch, lyrs, (1, 28, 28), config=config, seed=seed)
 
 
 def build_lenet(width_mult: float = 1.0, relu_on: bool = True,
                 seed: int = 0, dtype=T.DEFAULT_DTYPE) -> ModelGraph:
-    w = float(width_mult)
-    widths = [math.ceil(n * w) for n in (6, 16, 120, 84)]
-    return _lenet("lenet", widths, w, relu_on, seed, dtype)
+    widths = [math.ceil(n * width_mult) for n in (6, 16, 120, 84)]
+    return _lenet("lenet", widths, width_mult, relu_on, seed, dtype)
 
 
 def build_lenet_kan(spec: SplineSpec = None, width_mult: float = 1.0,
@@ -223,10 +235,9 @@ def build_lenet_kan(spec: SplineSpec = None, width_mult: float = 1.0,
                     dtype=T.DEFAULT_DTYPE) -> ModelGraph:
     """Quarter-width spline-kernel twin of ``build_lenet``."""
     spec = spec or bspline_spec()
-    w = float(width_mult)
-    c1, c2, f1, f2 = (math.ceil(n * w / 4) for n in (6, 16, 120, 84))
-    return _lenet("lenet_kan", (max(2, c1), c2, f1, f2), w, relu_on, seed,
-                  dtype, spec, spec)
+    c1, c2, f1, f2 = (math.ceil(n * width_mult / 4) for n in (6, 16, 120, 84))
+    return _lenet("lenet_kan", (max(2, c1), c2, f1, f2), width_mult, relu_on,
+                  seed, dtype, spec, spec)
 
 
 def build_lenet_kan_full(spec: SplineSpec = None, width_mult: float = 1.0,
@@ -239,9 +250,9 @@ def build_lenet_kan_full(spec: SplineSpec = None, width_mult: float = 1.0,
     and unscaled.  This is the configuration the ablation sweep trains.
     """
     spec = spec or bspline_spec()
-    w = float(width_mult)
-    widths = (math.ceil(6 * w), math.ceil(16 * w), 120, 84)
-    return _lenet("lenet_kan_full", widths, w, relu_on, seed, dtype, spec)
+    widths = (math.ceil(6 * width_mult), math.ceil(16 * width_mult), 120, 84)
+    return _lenet("lenet_kan_full", widths, width_mult, relu_on, seed, dtype,
+                  spec)
 
 
 _ALEXNET_CONVS = [
@@ -277,7 +288,8 @@ def build_alexnet(kan: bool = False, spec: SplineSpec = None, seed: int = 0,
         fc(3, f, 1000),
     ]
     arch = "alexnet_kan" if kan else "alexnet"
-    return ModelGraph(arch, lyrs, (3, 224, 224), meta={"spec": spec}, seed=seed)
+    return ModelGraph(arch, lyrs, (3, 224, 224), config=_spec_config(spec),
+                      seed=seed)
 
 
 def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
@@ -310,9 +322,10 @@ def build_tabular_cnn(n_features: int, n_labels: int, kan: bool = False,
         L.Activation("sigmoid", name="out"),
     ]
     arch = "tabular_kan" if kan else "tabular_cnn"
-    meta = {"spec": spec, "n_features": n_features, "n_labels": n_labels}
-    return ModelGraph(arch, lyrs, (n_features,), output_kind="probs", meta=meta,
-                      seed=seed)
+    config = {**_spec_config(spec), "n_features": str(n_features),
+              "n_labels": str(n_labels)}
+    return ModelGraph(arch, lyrs, (n_features,), output_kind="probs",
+                      config=config, seed=seed)
 
 
 def parse_on_off(text: str) -> bool:
@@ -335,25 +348,6 @@ def parse_seed(text: str) -> int:
     return seed
 
 
-def model_config(model: ModelGraph) -> dict[str, str]:
-    """Flat text-serialisable description sufficient to rebuild the graph."""
-    meta = model.meta
-    cfg = {"arch": model.name, "seed": str(model.seed)}
-    if "width_mult" in meta:
-        cfg["width_mult"] = repr(float(meta["width_mult"]))
-        cfg["relu"] = format_on_off(meta["relu"])
-    spec = meta.get("spec")
-    if spec is not None:
-        cfg["family"] = spec.family.value
-        cfg["grid"] = str(spec.grid_size)
-        cfg["degree"] = str(spec.degree)
-        cfg["domain"] = f"{spec.domain[0]!r},{spec.domain[1]!r}"
-    if "n_features" in meta:
-        cfg["n_features"] = str(meta["n_features"])
-        cfg["n_labels"] = str(meta["n_labels"])
-    return cfg
-
-
 def _float_pair(text: str) -> tuple[float, float]:
     lo, hi = text.split(",")
     return float(lo), float(hi)
@@ -367,8 +361,10 @@ def _width(text: str) -> float:
 
 
 def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
-    """Rebuild ``model_config``'s graph; an unknown arch, or a key that is
-    missing or does not parse, raises ConfigError naming it."""
+    """Build the graph a ``ModelGraph.config`` describes; every key but
+    ``arch`` and a tabular model's widths has its default here (a bspline
+    spec of grid 5, degree 3; degree 0 for rbf).  An unknown arch, or a
+    key that is missing or does not parse, raises ConfigError naming it."""
     arch = cfg.get("arch")
     if arch not in ARCH_NAMES:
         raise ConfigError(f"unknown arch {arch!r}")
@@ -384,10 +380,10 @@ def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
             raise ConfigError(f"bad {key}={cfg[key]!r}: {exc}") from None
 
     seed = get("seed", parse_seed, 0)
-    spec = None
-    if "family" in cfg:
-        spec = SplineSpec(cfg["family"], get("grid", int, 5),
-                          get("degree", int, 3), get("domain", _float_pair, None))
+    family = cfg.get("family", "bspline")
+    spec = SplineSpec(family, get("grid", int, 5),
+                      get("degree", int, 0 if family.lower() == "rbf" else 3),
+                      get("domain", _float_pair, None))
     w = get("width_mult", _width, 1.0)
     relu_on = get("relu", parse_on_off, True)
     if arch == "lenet":
@@ -404,12 +400,6 @@ def build_from_config(cfg: dict[str, str], dtype=T.DEFAULT_DTYPE) -> ModelGraph:
                              arch == "tabular_kan", spec, seed, dtype)
 
 
-def save_model_config(path, cfg: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in cfg.items():
-            fh.write(f"{key}={val}\n")
-
-
 def read_key_values(path):
     """Yield (line number, key, value) for each ``key=value`` line of a
     text file; blank lines and ``#`` comments are skipped."""
@@ -423,6 +413,3 @@ def read_key_values(path):
             key, val = line.split("=", 1)
             yield lineno, key.strip(), val.strip()
 
-
-def load_model_config(path) -> dict[str, str]:
-    return {key: val for _, key, val in read_key_values(path)}

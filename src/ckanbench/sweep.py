@@ -104,7 +104,7 @@ def parse_sweep_config(path: str) -> SweepConfig:
     return cfg
 
 
-def validate_sweep_config(cfg: SweepConfig) -> None:
+def validate_sweep_config(cfg: SweepConfig, workers: int = 1) -> None:
     if cfg.family not in ("rbf", "bspline"):
         raise ConfigError(f"family must be rbf or bspline, got {cfg.family!r}")
     for g in cfg.grid_sizes:
@@ -127,6 +127,8 @@ def validate_sweep_config(cfg: SweepConfig) -> None:
     if not (cfg.grid_sizes and cfg.width_mults and cfg.relu_options
             and cfg.prune_ratios):
         raise ConfigError("every sweep factor needs at least one level")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -294,9 +296,7 @@ def run_sweep(cfg: SweepConfig, train: Dataset, val: Dataset, out_dir: str,
               workers: int = 1, verbose: bool = False) -> list[CellResult]:
     """Run every cell and write runs.csv / frontier.csv / radar.csv /
     summary.json under out_dir.  Results come back in grid order."""
-    validate_sweep_config(cfg)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    validate_sweep_config(cfg, workers)
     cells = enumerate_grid(cfg)
     if cfg.subset is not None:
         train = subset_dataset(train, cfg.subset, cfg.seed)

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from ckanbench.checkpoint import (BLOB_NAME, MANIFEST_NAME, load_checkpoint,
-                                  read_state, save_checkpoint, save_state)
+from ckanbench.checkpoint import (BLOB_NAME, CONFIG_NAME, MANIFEST_NAME,
+                                  load_checkpoint, read_state, save_checkpoint,
+                                  save_state)
 from ckanbench.errors import ConsistencyError, FormatError
 from ckanbench.models import (build_lenet, build_lenet_kan_full,
                               build_tabular_cnn)
@@ -45,6 +46,18 @@ class TestStateRoundTrip:
         view = base[:, ::2]
         save_state([("v", view)], str(tmp_path))
         np.testing.assert_array_equal(read_state(str(tmp_path))["v"], view)
+
+    def test_big_endian_input_stored_little_endian(self, tmp_path):
+        items = [("f", np.array([1.5, -2.0, 3.25], dtype=">f4")),
+                 ("i", np.array([1, -2, 2**40], dtype=">i8"))]
+        save_state(items, str(tmp_path))
+        assert (tmp_path / BLOB_NAME).read_bytes() == (
+            np.array([1.5, -2.0, 3.25], dtype="<f4").tobytes()
+            + np.array([1, -2, 2**40], dtype="<i8").tobytes())
+        assert (tmp_path / MANIFEST_NAME).read_text() == "f 3 float32\ni 3 int64\n"
+        state = read_state(str(tmp_path))
+        for name, arr in items:
+            np.testing.assert_array_equal(state[name], arr)
 
     def test_zero_rank_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="zero-rank"):
@@ -104,7 +117,7 @@ class TestModelCheckpoint:
         model.kan_conv_layers()[0].channel_mask[2] = False
         save_checkpoint(model, str(tmp_path))
         twin = build_lenet_kan_full(spec=rbf_spec(2), seed=9)
-        load_checkpoint(twin, str(tmp_path))
+        twin.load_state(read_state(str(tmp_path)))
         for (na, pa), (nb, pb) in zip(model.state_items(),
                                       twin.state_items()):
             assert na == nb
@@ -115,7 +128,7 @@ class TestModelCheckpoint:
         model = build_lenet(seed=1)
         save_checkpoint(model, str(tmp_path))
         twin = build_lenet(seed=2)
-        load_checkpoint(twin, str(tmp_path))
+        twin.load_state(read_state(str(tmp_path)))
         x = rng.standard_normal((2, 1, 28, 28)).astype(np.float32)
         np.testing.assert_array_equal(model.forward(x), twin.forward(x))
 
@@ -123,7 +136,7 @@ class TestModelCheckpoint:
         save_checkpoint(build_lenet(seed=1), str(tmp_path))
         wrong = build_lenet_kan_full(spec=rbf_spec(2))
         with pytest.raises(ConsistencyError, match="does not match"):
-            load_checkpoint(wrong, str(tmp_path))
+            wrong.load_state(read_state(str(tmp_path)))
 
     def test_shape_mismatch_rejected(self, tmp_path):
         save_checkpoint(build_lenet(width_mult=1.0, seed=1), str(tmp_path))
@@ -131,13 +144,13 @@ class TestModelCheckpoint:
         # same names, different widths -> same name set, wrong shapes
         wider = build_lenet(width_mult=2.0, seed=1)
         with pytest.raises(ConsistencyError):
-            load_checkpoint(wider, str(tmp_path))
+            wider.load_state(read_state(str(tmp_path)))
 
     def test_float64_model_roundtrip(self, tmp_path, rng):
         model = build_lenet(seed=4, dtype=np.float64)
         save_checkpoint(model, str(tmp_path))
         twin = build_lenet(seed=5, dtype=np.float64)
-        load_checkpoint(twin, str(tmp_path))
+        twin.load_state(read_state(str(tmp_path)))
         x = rng.standard_normal((2, 1, 28, 28))
         np.testing.assert_array_equal(model.forward(x), twin.forward(x))
 
@@ -166,3 +179,70 @@ class TestModelCheckpoint:
             + [("head.weight", (4, 64)), ("head.bias", (4,))]
             + [(f"kconv{i}.channel_mask", (o,))
                for i, o in ((1, 128), (2, 128), (3, 64))])
+
+
+class TestCheckpointDirectory:
+    def test_load_rebuilds_the_saved_model(self, tmp_path, rng):
+        model = build_lenet_kan_full(spec=rbf_spec(2), width_mult=0.5, seed=3)
+        model.kan_conv_layers()[0].channel_mask[1] = False
+        save_checkpoint(model, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == [CONFIG_NAME, MANIFEST_NAME,
+                                                BLOB_NAME]
+        twin = load_checkpoint(str(tmp_path))
+        assert twin.config == model.config
+        for (na, pa), (nb, pb) in zip(model.state_items(), twin.state_items()):
+            assert na == nb and pa.tobytes() == pb.tobytes()
+        x = rng.standard_normal((2, 1, 28, 28)).astype(np.float32)
+        np.testing.assert_array_equal(model.forward(x), twin.forward(x))
+
+    def test_no_config_is_not_a_checkpoint(self, tmp_path):
+        save_state([("x", np.zeros(2, dtype=np.float32))], str(tmp_path))
+        with pytest.raises(FormatError, match="no config.txt"):
+            load_checkpoint(str(tmp_path))
+
+    def test_bad_config_names_the_file(self, tmp_path):
+        save_checkpoint(build_lenet(seed=1), str(tmp_path))
+        (tmp_path / CONFIG_NAME).write_text("arch=lenet\nrelu=yes\n")
+        with pytest.raises(FormatError, match=f"{CONFIG_NAME}: bad relu"):
+            load_checkpoint(str(tmp_path))
+
+
+class TestPinnedConfig:
+    """The config.txt bytes that the CLI's models save; literals pinned
+    before ``ModelGraph.config`` replaced the separate config writer."""
+
+    @pytest.mark.parametrize("model,flags,text", [
+        ("lenet", (), "arch=lenet\nseed=0\nwidth_mult=1.0\nrelu=on\n"),
+        ("lenet-kan", (),
+         "arch=lenet_kan\nseed=0\nwidth_mult=1.0\nrelu=on\nfamily=bspline\n"
+         "grid=5\ndegree=3\ndomain=-1.0,1.0\n"),
+        ("lenet-kan-full", (),
+         "arch=lenet_kan_full\nseed=0\nwidth_mult=1.0\nrelu=on\n"
+         "family=bspline\ngrid=5\ndegree=3\ndomain=-1.0,1.0\n"),
+        ("alexnet", (), "arch=alexnet\nseed=0\n"),
+        ("alexnet-kan", (),
+         "arch=alexnet_kan\nseed=0\nfamily=bspline\ngrid=5\ndegree=3\n"
+         "domain=-1.0,1.0\n"),
+        ("tabular-cnn", (), "arch=tabular_cnn\nseed=0\nn_features=875\n"
+         "n_labels=206\n"),
+        ("tabular-kan", (),
+         "arch=tabular_kan\nseed=0\nfamily=bspline\ngrid=5\ndegree=3\n"
+         "domain=-1.0,1.0\nn_features=875\nn_labels=206\n"),
+        ("lenet-kan-full", ("--basis", "rbf", "--grid", "16"),
+         "arch=lenet_kan_full\nseed=0\nwidth_mult=1.0\nrelu=on\nfamily=rbf\n"
+         "grid=16\ndegree=0\ndomain=-2.0,2.0\n"),
+        ("lenet-kan", ("--degree", "2", "--width-mult", "1.5", "--relu", "off"),
+         "arch=lenet_kan\nseed=0\nwidth_mult=1.5\nrelu=off\nfamily=bspline\n"
+         "grid=5\ndegree=2\ndomain=-1.0,1.0\n"),
+        ("tabular-kan", ("--basis", "rbf"),
+         "arch=tabular_kan\nseed=0\nfamily=rbf\ngrid=5\ndegree=0\n"
+         "domain=-2.0,2.0\nn_features=875\nn_labels=206\n"),
+    ])
+    def test_config_bytes_of_cli_models(self, tmp_path, model, flags, text):
+        from ckanbench import cli
+
+        args = cli.build_parser().parse_args(["count", "--model", model, *flags])
+        graph = cli._build_from_args(model, args)
+        graph.state_items = list    # the config alone: no weights are drawn
+        save_checkpoint(graph, str(tmp_path))
+        assert (tmp_path / CONFIG_NAME).read_bytes() == text.encode()

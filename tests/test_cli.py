@@ -38,10 +38,8 @@ def write_tabular(data_dir, n_rows, n_features, n_labels, rng):
 def save_untrained(out_dir, model):
     """``model``'s drawn state as a checkpoint directory under ``out_dir``."""
     from ckanbench.checkpoint import save_checkpoint
-    from ckanbench.models import model_config, save_model_config
 
     save_checkpoint(model, str(out_dir))
-    save_model_config(os.path.join(out_dir, "config.txt"), model_config(model))
     return str(out_dir)
 
 
@@ -377,6 +375,9 @@ class TestPrune:
                        "--out", pruned_dir)
         assert code == 0
         out = capsys.readouterr().out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "params_before", "macs_before", "params_after", "macs_after",
+            "saved"]
 
         def grab(tag):
             return int(out.split(f"{tag} ")[1].split()[0])
@@ -439,8 +440,9 @@ class TestPrune:
         code = run_cli("prune", "--checkpoint", ckpt, "--ratio", "0.25",
                        "--finetune-epochs", "0", "--out", str(out_dir))
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: lenet has no spline-kernel conv layer")
+        out, err = capsys.readouterr()
+        assert err.startswith("error: lenet has no spline-kernel conv layer")
+        assert out == ""
         assert not out_dir.exists()
 
     def test_finetuned_checkpoint_bytes(self, kan_checkpoint, synth_dir,
@@ -526,11 +528,9 @@ class TestMalformedCheckpointConfig:
     def test_negative_manifest_dimension_is_a_data_error(self, tmp_path,
                                                          capsys):
         from ckanbench.checkpoint import MANIFEST_NAME, save_checkpoint
-        from ckanbench.models import build_lenet, model_config, save_model_config
+        from ckanbench.models import build_lenet
 
-        model = build_lenet()
-        save_checkpoint(model, str(tmp_path))
-        save_model_config(tmp_path / "config.txt", model_config(model))
+        save_checkpoint(build_lenet(), str(tmp_path))
         manifest = tmp_path / MANIFEST_NAME
         manifest.write_text(manifest.read_text().replace(" 6,", " -6,", 1))
         code = run_cli("profile", "--checkpoint", str(tmp_path),
@@ -541,11 +541,9 @@ class TestMalformedCheckpointConfig:
 
     def test_object_manifest_dtype_is_a_data_error(self, tmp_path, capsys):
         from ckanbench.checkpoint import MANIFEST_NAME, save_checkpoint
-        from ckanbench.models import build_lenet, model_config, save_model_config
+        from ckanbench.models import build_lenet
 
-        model = build_lenet()
-        save_checkpoint(model, str(tmp_path))
-        save_model_config(tmp_path / "config.txt", model_config(model))
+        save_checkpoint(build_lenet(), str(tmp_path))
         manifest = tmp_path / MANIFEST_NAME
         lines = manifest.read_text().splitlines(keepends=True)
         lines[0] = lines[0].rsplit(" ", 1)[0] + " object\n"
@@ -618,6 +616,18 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(
             f"error: workers must be >= 1, got {workers}")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,message", [
+        (("--workers", "0"), "error: workers must be >= 1, got 0"),
+        (("--subset", "0"), "error: subset must be >= 1, got 0"),
+    ], ids=["workers", "subset"])
+    def test_usage_error_before_the_data_is_read(self, tmp_path, capsys,
+                                                 flag, message):
+        code = run_cli("sweep", "--config", self._cfg_file(tmp_path),
+                       "--data", str(tmp_path / "missing"),
+                       "--out-dir", str(tmp_path / "out"), *flag)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
 
     def test_bad_config_exits_1(self, tmp_path, synth_dir, capsys):
         path = tmp_path / "sweep.cfg"

@@ -4,14 +4,14 @@ count relations, config round-trips, and state dict handling."""
 import numpy as np
 import pytest
 
+from ckanbench.checkpoint import CONFIG_NAME, save_checkpoint
 from ckanbench.errors import ConfigError, ConsistencyError
 from ckanbench.layers import (Activation, Conv2D, Flatten, KanConv2D,
                               KanLinear, Linear, MaxPool2D)
 from ckanbench.models import (ModelGraph, build_alexnet, build_from_config,
                               build_lenet, build_lenet_kan,
                               build_lenet_kan_full, build_tabular_cnn,
-                              load_model_config, model_config,
-                              save_model_config)
+                              read_key_values)
 from ckanbench.splines import bspline_spec, rbf_spec
 
 
@@ -322,11 +322,11 @@ class TestConfigRoundTrip:
     ])
     def test_roundtrip(self, tmp_path, build):
         model = build()
-        cfg = model_config(model)
-        path = tmp_path / "config.txt"
-        save_model_config(path, cfg)
-        loaded = load_model_config(path)
-        assert loaded == cfg
+        model.state_items = list    # the config alone: no weights are saved
+        save_checkpoint(model, str(tmp_path))
+        loaded = {key: val for _, key, val
+                  in read_key_values(tmp_path / CONFIG_NAME)}
+        assert loaded == model.config
         rebuilt = build_from_config(loaded)
         assert rebuilt.param_count() == model.param_count()
         assert rebuilt.mac_count() == model.mac_count()
@@ -342,8 +342,8 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("token,relu_on", [("ON", True), ("Off", False)])
     def test_relu_token_is_case_insensitive(self, token, relu_on):
         model = build_from_config({"arch": "lenet", "relu": token})
-        assert model.meta["relu"] is relu_on
-        assert model_config(model)["relu"] == token.lower()
+        assert model.config["relu"] == token.lower()
+        assert model._layers[1].kind == ("relu" if relu_on else "identity")
 
     @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
     def test_non_positive_or_non_finite_width_rejected(self, width):
@@ -354,9 +354,20 @@ class TestConfigRoundTrip:
         path = tmp_path / "config.txt"
         path.write_text("arch=lenet\nnot a pair\n")
         with pytest.raises(ConfigError):
-            load_model_config(path)
+            list(read_key_values(path))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("# model\n\narch=lenet\nseed=4\n")
-        assert load_model_config(path) == {"arch": "lenet", "seed": "4"}
+        assert list(read_key_values(path)) == [(3, "arch", "lenet"),
+                                               (4, "seed", "4")]
+
+    def test_grid_without_family_is_read(self):
+        model = build_from_config({"arch": "lenet_kan_full", "grid": "4"})
+        assert model.kan_conv_layers()[0].spec == bspline_spec(4, 3)
+        assert model.config["grid"] == "4"
+
+    def test_rbf_degree_defaults_to_0(self):
+        model = build_from_config({"arch": "lenet_kan_full", "family": "rbf"})
+        assert model.config["degree"] == "0"
+        assert model.kan_conv_layers()[0].spec == rbf_spec(5)
